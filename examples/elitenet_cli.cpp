@@ -18,7 +18,7 @@
 //                                      #trace <id> answer with JSON;
 //                                      --shards=N serves through the
 //                                      scatter-gather router with N
-//                                      degree-partitioned shard engines —
+//                                      degree-partitioned shards —
 //                                      byte-identical responses, plus
 //                                      --shard-threads=N and --hubs=K)
 //   elitenet_cli convert <in> <out>    edge list <-> binary snapshot
@@ -47,7 +47,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/centrality.h"
@@ -211,34 +213,55 @@ int CmdServe(graph::DiGraph g, const std::string& graph_path, int argc,
   serve::EngineOptions opts;
   serve::ApplyServeEnv(&opts);  // env first; explicit flags override
   opts.warm_index_path = serve::WarmIndexPathFor(graph_path);
-  int shards = 0;  // 0 = unsharded QueryEngine
   serve::RouterOptions ropts;
+  uint64_t threads = static_cast<uint64_t>(opts.threads);
+  uint64_t shards = 0;  // 0 = unsharded QueryEngine
+  uint64_t shard_threads = static_cast<uint64_t>(ropts.shard_threads);
+  uint64_t hubs = ropts.hub_count;
+  // Numeric flags: prefix, accepted range, destination. The empty prefix
+  // is the positional worker count: any argument not starting with '-'.
+  const struct {
+    std::string_view prefix;
+    uint64_t lo, hi;
+    uint64_t* out;
+  } kUintFlags[] = {
+      {"--shards=", 1, 255, &shards},
+      {"--shard-threads=", 1, 1024, &shard_threads},
+      {"--hubs=", 0, UINT32_MAX, &hubs},
+      {"", 1, 1024, &threads},
+  };
   for (int i = 0; i < argc; ++i) {
-    if (serve::ParseServeFlag(argv[i], &opts)) continue;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      continue;
+    const std::string_view arg = argv[i];
+    if (serve::ParseServeFlag(arg, &opts)) continue;
+    bool matched = false;
+    for (const auto& f : kUintFlags) {
+      if (arg.substr(0, f.prefix.size()) != f.prefix ||
+          (f.prefix.empty() && arg.substr(0, 1) == "-")) {
+        continue;
+      }
+      matched = true;
+      if (!serve::ParseBoundedUint(arg.substr(f.prefix.size()), f.lo, f.hi,
+                                   f.out)) {
+        std::fprintf(stderr, "bad value for %s (expected %llu..%llu)\n",
+                     argv[i], static_cast<unsigned long long>(f.lo),
+                     static_cast<unsigned long long>(f.hi));
+        return 2;
+      }
+      break;
     }
-    if (std::strncmp(argv[i], "--shard-threads=", 16) == 0) {
-      ropts.shard_threads = std::atoi(argv[i] + 16);
-      continue;
+    if (!matched) {
+      std::fprintf(stderr, "unknown serve flag or bad value: %s\n", argv[i]);
+      return 2;
     }
-    if (std::strncmp(argv[i], "--hubs=", 7) == 0) {
-      ropts.hub_count =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 7, nullptr, 10));
-      continue;
-    }
-    if (argv[i][0] != '-') {
-      opts.threads = std::atoi(argv[i]);  // positional worker count
-      continue;
-    }
-    std::fprintf(stderr, "unknown serve flag: %s\n", argv[i]);
-    return 2;
   }
+  opts.threads = static_cast<int>(threads);
+  std::unique_ptr<serve::FrontDoor> door;
   if (shards > 0) {
-    // Scatter-gather path: N shard engines behind the QoS router, with
+    // Scatter-gather path: N shard backends behind the QoS router, with
     // byte-identical responses (serve/router.h).
-    ropts.num_shards = shards;
+    ropts.num_shards = static_cast<int>(shards);
+    ropts.shard_threads = static_cast<int>(shard_threads);
+    ropts.hub_count = static_cast<uint32_t>(hubs);
     ropts.engine = opts;
     ropts.partition_path = serve::PartitionPathFor(graph_path);
     auto router = serve::ShardedRouter::Create(std::move(g), ropts);
@@ -259,37 +282,25 @@ int CmdServe(graph::DiGraph g, const std::string& graph_path, int argc,
                  (*router)->threads(),
                  static_cast<unsigned long long>(
                      (*router)->partition().hubs.size()));
-    const serve::ServeStats stats =
-        serve::ServeLines(router->get(), stdin, stdout);
+    door = std::move(*router);
+  } else {
+    auto engine = serve::QueryEngine::Create(std::move(g), opts);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "engine startup failed: %s\n",
+                   engine.status().ToString().c_str());
+      return 1;
+    }
     std::fprintf(stderr,
-                 "served %llu requests (%llu errors, %llu degraded, "
-                 "%llu admin), cache %llu hits / %llu misses\n",
-                 static_cast<unsigned long long>(stats.requests),
-                 static_cast<unsigned long long>(stats.errors),
-                 static_cast<unsigned long long>(stats.degraded),
-                 static_cast<unsigned long long>(stats.admin),
-                 static_cast<unsigned long long>((*router)->cache_hits()),
-                 static_cast<unsigned long long>((*router)->cache_misses()));
-    std::fputs(serve::RenderSummaryText((*router)->telemetry()).c_str(),
-               stderr);
-    return 0;
+                 "warm in %.2fs (%s); %d workers; protocol: ego <n> | "
+                 "topk <k> | dist <s> <t> [deadline_us] | neighbors <n> "
+                 "out|in [limit] | fingerprint | quit\n",
+                 (*engine)->warmup_seconds(),
+                 (*engine)->warm_index_from_cache() ? "restored from .widx"
+                                                    : "built fresh",
+                 (*engine)->threads());
+    door = std::move(*engine);
   }
-  auto engine = serve::QueryEngine::Create(std::move(g), opts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine startup failed: %s\n",
-                 engine.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "warm in %.2fs (%s); %d workers; protocol: ego <n> | "
-               "topk <k> | dist <s> <t> [deadline_us] | neighbors <n> "
-               "out|in [limit] | fingerprint | quit\n",
-               (*engine)->warmup_seconds(),
-               (*engine)->warm_index_from_cache() ? "restored from .widx"
-                                                  : "built fresh",
-               (*engine)->threads());
-  const serve::ServeStats stats =
-      serve::ServeLines(engine->get(), stdin, stdout);
+  const serve::ServeStats stats = serve::ServeLines(door.get(), stdin, stdout);
   std::fprintf(stderr,
                "served %llu requests (%llu errors, %llu degraded, "
                "%llu admin), cache %llu hits / %llu misses\n",
@@ -297,10 +308,9 @@ int CmdServe(graph::DiGraph g, const std::string& graph_path, int argc,
                static_cast<unsigned long long>(stats.errors),
                static_cast<unsigned long long>(stats.degraded),
                static_cast<unsigned long long>(stats.admin),
-               static_cast<unsigned long long>((*engine)->cache_hits()),
-               static_cast<unsigned long long>((*engine)->cache_misses()));
-  std::fputs(serve::RenderSummaryText((*engine)->telemetry()).c_str(),
-             stderr);
+               static_cast<unsigned long long>(door->cache_hits()),
+               static_cast<unsigned long long>(door->cache_misses()));
+  std::fputs(serve::RenderSummaryText(door->telemetry()).c_str(), stderr);
   return 0;
 }
 

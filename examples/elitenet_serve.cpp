@@ -8,9 +8,11 @@
 //                  [--flight-recorder=<K>] [--slow-ms=<t>] [--sample=<N>]
 //                  [--no-telemetry]
 //
-// --shards=N (N >= 1) serves through the scatter-gather router
+// --shards=N (1..255) serves through the scatter-gather router
 // (serve/router.h): the graph is split into N degree-partitioned shard
-// engines, with the partition cached in a `<graph>.pidx` sidecar.
+// backends, with the partition cached in a `<graph>.pidx` sidecar.
+// Numeric flags are range-checked; a malformed or out-of-range value
+// exits with status 2 instead of falling back to a default.
 // Response bytes are identical to the unsharded engine's at every shard
 // count — sharding is an availability/throughput knob, not a semantic
 // one.
@@ -40,10 +42,11 @@
 // timestamps, no cache/thread artifacts), so piping the same request file
 // through twice diffs clean. Diagnostics go to stderr only.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/dataset.h"
@@ -64,30 +67,49 @@ int main(int argc, char** argv) {
   serve::EngineOptions opts;
   serve::ApplyServeEnv(&opts);  // env first; explicit flags override
   bool use_widx = true;
-  int shards = 0;  // 0 = unsharded QueryEngine
   serve::RouterOptions ropts;
+  uint64_t threads = static_cast<uint64_t>(opts.threads);
+  uint64_t cache = opts.cache_capacity;
+  uint64_t shards = 0;  // 0 = unsharded QueryEngine
+  uint64_t shard_threads = static_cast<uint64_t>(ropts.shard_threads);
+  uint64_t hubs = ropts.hub_count;
+  // Numeric flags: prefix, accepted range, destination.
+  const struct {
+    std::string_view prefix;
+    uint64_t lo, hi;
+    uint64_t* out;
+  } kUintFlags[] = {
+      {"--threads=", 1, 1024, &threads},
+      {"--cache=", 0, uint64_t{1} << 30, &cache},
+      {"--shards=", 1, 255, &shards},
+      {"--shard-threads=", 1, 1024, &shard_threads},
+      {"--hubs=", 0, UINT32_MAX, &hubs},
+  };
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opts.threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--cache=", 8) == 0) {
-      opts.cache_capacity =
-          static_cast<size_t>(std::strtoull(argv[i] + 8, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--shard-threads=", 16) == 0) {
-      ropts.shard_threads = std::atoi(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--hubs=", 7) == 0) {
-      ropts.hub_count =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 7, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--no-widx") == 0) {
+    const std::string_view arg = argv[i];
+    bool matched = false;
+    for (const auto& f : kUintFlags) {
+      if (arg.substr(0, f.prefix.size()) != f.prefix) continue;
+      matched = true;
+      if (!serve::ParseBoundedUint(arg.substr(f.prefix.size()), f.lo, f.hi,
+                                   f.out)) {
+        std::fprintf(stderr, "bad value for %s (expected %llu..%llu)\n",
+                     argv[i], static_cast<unsigned long long>(f.lo),
+                     static_cast<unsigned long long>(f.hi));
+        return 2;
+      }
+      break;
+    }
+    if (matched) continue;
+    if (arg == "--no-widx") {
       use_widx = false;
-    } else if (serve::ParseServeFlag(argv[i], &opts)) {
-      // telemetry/metrics flag, handled
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+    } else if (!serve::ParseServeFlag(arg, &opts)) {
+      std::fprintf(stderr, "unknown flag or bad value: %s\n", argv[i]);
       return 2;
     }
   }
+  opts.threads = static_cast<int>(threads);
+  opts.cache_capacity = static_cast<size_t>(cache);
   if (use_widx) opts.warm_index_path = serve::WarmIndexPathFor(argv[1]);
 
   core::GraphLoadInfo load_info;
@@ -104,8 +126,11 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(g->num_edges()),
                load_info.format.c_str(), load_info.seconds);
 
+  std::unique_ptr<serve::FrontDoor> door;
   if (shards > 0) {
-    ropts.num_shards = shards;
+    ropts.num_shards = static_cast<int>(shards);
+    ropts.shard_threads = static_cast<int>(shard_threads);
+    ropts.hub_count = static_cast<uint32_t>(hubs);
     ropts.engine = opts;
     if (use_widx) ropts.partition_path = serve::PartitionPathFor(argv[1]);
     auto router = serve::ShardedRouter::Create(std::move(*g), ropts);
@@ -126,36 +151,23 @@ int main(int argc, char** argv) {
                  (*router)->threads(),
                  static_cast<unsigned long long>(
                      (*router)->partition().hubs.size()));
-    const serve::ServeStats stats =
-        serve::ServeLines(router->get(), stdin, stdout);
-    std::fprintf(stderr,
-                 "served %llu requests (%llu errors, %llu degraded, "
-                 "%llu admin), cache %llu hits / %llu misses\n",
-                 static_cast<unsigned long long>(stats.requests),
-                 static_cast<unsigned long long>(stats.errors),
-                 static_cast<unsigned long long>(stats.degraded),
-                 static_cast<unsigned long long>(stats.admin),
-                 static_cast<unsigned long long>((*router)->cache_hits()),
-                 static_cast<unsigned long long>((*router)->cache_misses()));
-    std::fputs(serve::RenderSummaryText((*router)->telemetry()).c_str(),
-               stderr);
-    return 0;
+    door = std::move(*router);
+  } else {
+    auto engine = serve::QueryEngine::Create(std::move(*g), opts);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "engine startup failed: %s\n",
+                   engine.status().ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "ready in %.2fs (%s, %d workers)\n",
+                 (*engine)->warmup_seconds(),
+                 (*engine)->warm_index_from_cache() ? "warm indexes restored"
+                                                    : "warm indexes built",
+                 (*engine)->threads());
+    door = std::move(*engine);
   }
 
-  auto engine = serve::QueryEngine::Create(std::move(*g), opts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine startup failed: %s\n",
-                 engine.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "ready in %.2fs (%s, %d workers)\n",
-               (*engine)->warmup_seconds(),
-               (*engine)->warm_index_from_cache() ? "warm indexes restored"
-                                                  : "warm indexes built",
-               (*engine)->threads());
-
-  const serve::ServeStats stats =
-      serve::ServeLines(engine->get(), stdin, stdout);
+  const serve::ServeStats stats = serve::ServeLines(door.get(), stdin, stdout);
   std::fprintf(stderr,
                "served %llu requests (%llu errors, %llu degraded, "
                "%llu admin), cache %llu hits / %llu misses\n",
@@ -163,9 +175,8 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.errors),
                static_cast<unsigned long long>(stats.degraded),
                static_cast<unsigned long long>(stats.admin),
-               static_cast<unsigned long long>((*engine)->cache_hits()),
-               static_cast<unsigned long long>((*engine)->cache_misses()));
-  std::fputs(serve::RenderSummaryText((*engine)->telemetry()).c_str(),
-             stderr);
+               static_cast<unsigned long long>(door->cache_hits()),
+               static_cast<unsigned long long>(door->cache_misses()));
+  std::fputs(serve::RenderSummaryText(door->telemetry()).c_str(), stderr);
   return 0;
 }

@@ -87,7 +87,7 @@ std::string CanonicalEncoding(const Request& r);
 /// Canonical form without the deadline, QoS class, or version pin — the
 /// result-cache key. The deadline never changes result bytes; the version does, but a
 /// live engine keys its cache under an "e<epoch>@<resolved version>"
-/// prefix it derives at admission (engine.cc), which also covers unpinned
+/// prefix it derives at admission (front_door.cc), which also covers unpinned
 /// requests.
 std::string CacheKey(const Request& r);
 

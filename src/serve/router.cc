@@ -1,15 +1,10 @@
 #include "serve/router.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <optional>
+#include <future>
 #include <utility>
 
-#include "graph/frontier.h"
 #include "serve/bounded_distance.h"
-#include "serve/scheduler.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -21,47 +16,9 @@ using graph::NodeId;
 
 namespace {
 
-const char* SpanNameFor(RequestType type) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      return "serve.ego";
-    case RequestType::kTopKRank:
-      return "serve.topk";
-    case RequestType::kDistance:
-      return "serve.dist";
-    case RequestType::kNeighbors:
-      return "serve.neighbors";
-    case RequestType::kFingerprint:
-      return "serve.fingerprint";
-  }
-  return "serve.unknown";
-}
-
-// Same per-type sketches the unsharded engine feeds (distinct call sites
-// are required — the metrics macros cache their pointer per site).
-void RecordLatency(RequestType type, uint64_t micros) {
-  switch (type) {
-    case RequestType::kEgoSummary:
-      ELITENET_SKETCH("serve.latency_us.ego", micros);
-      break;
-    case RequestType::kTopKRank:
-      ELITENET_SKETCH("serve.latency_us.topk", micros);
-      break;
-    case RequestType::kDistance:
-      ELITENET_SKETCH("serve.latency_us.dist", micros);
-      break;
-    case RequestType::kNeighbors:
-      ELITENET_SKETCH("serve.latency_us.neighbors", micros);
-      break;
-    case RequestType::kFingerprint:
-      ELITENET_SKETCH("serve.latency_us.fingerprint", micros);
-      break;
-  }
-}
-
 // The distributed-BFS adjacency: PrepareLevel fetches the whole frontier
 // level's rows from each node's home shard (one batched sub-task per
-// shard, in parallel on the shard executors — the stand-in for the RPC a
+// shard, in parallel on the shard pools — the stand-in for the RPC a
 // networked deployment would make), then ForEachOut/ForEachIn replay
 // them in frontier order. The home shard holds both exact rows of its
 // nodes (partition rules R1+R2), so the replayed rows equal the base
@@ -69,7 +26,7 @@ void RecordLatency(RequestType type, uint64_t micros) {
 // order as the unsharded engine's local BFS.
 class ScatterAdj {
  public:
-  ScatterAdj(const std::vector<std::unique_ptr<QueryEngine>>* shards,
+  ScatterAdj(const std::vector<std::unique_ptr<RouterShard>>* shards,
              const std::vector<uint8_t>* home)
       : shards_(shards), home_(home) {}
 
@@ -88,11 +45,11 @@ class ScatterAdj {
       waits.push_back(done->get_future());
       auto positions =
           std::make_shared<std::vector<uint32_t>>(std::move(by_shard[s]));
-      QueryEngine* engine = (*shards_)[s].get();
+      RouterShard* shard = (*shards_)[s].get();
       auto* rows = &rows_;
       const std::vector<NodeId>* nodes = &frontier;
-      engine->SubmitTask([engine, positions, rows, nodes, forward, done] {
-        const DiGraph& g = engine->graph();
+      shard->pool.SubmitExempt([shard, positions, rows, nodes, forward, done] {
+        const DiGraph& g = shard->graph();
         for (uint32_t i : *positions) {
           const NodeId u = (*nodes)[i];
           const auto row = forward ? g.OutNeighbors(u) : g.InNeighbors(u);
@@ -114,7 +71,7 @@ class ScatterAdj {
   }
 
  private:
-  const std::vector<std::unique_ptr<QueryEngine>>* shards_;
+  const std::vector<std::unique_ptr<RouterShard>>* shards_;
   const std::vector<uint8_t>* home_;
   // Per-level row buffers, indexed by frontier position; the search
   // consumes each exactly once, in order (hence the cursor).
@@ -124,67 +81,13 @@ class ScatterAdj {
 
 }  // namespace
 
-struct ShardedRouter::Impl {
-  struct Scratch {
-    explicit Scratch(NodeId n) : fwd(n), bwd(n) {}
-    graph::ScratchArena fwd;
-    graph::ScratchArena bwd;
-  };
-
-  /// One queued request (shared_ptr: std::function is copyable,
-  /// std::promise is not).
-  struct Job {
-    Request req;
-    util::Deadline deadline;
-    std::promise<QueryResponse> promise;
-    uint64_t seq = 0;
-    std::chrono::steady_clock::time_point submitted;
-  };
-
-  std::unique_ptr<util::ShardedLruCache<std::string, std::string>> cache;
-
-  std::mutex scratch_mutex;
-  std::vector<std::unique_ptr<Scratch>> scratch_pool;
-
-  std::unique_ptr<QosExecutor> executor;
-  std::atomic<int64_t> inflight{0};
-
-  std::unique_ptr<Scratch> BorrowScratch(NodeId n) {
-    {
-      std::lock_guard<std::mutex> lock(scratch_mutex);
-      if (!scratch_pool.empty()) {
-        auto s = std::move(scratch_pool.back());
-        scratch_pool.pop_back();
-        return s;
-      }
-    }
-    return std::make_unique<Scratch>(n);
-  }
-
-  void ReturnScratch(std::unique_ptr<Scratch> s) {
-    std::lock_guard<std::mutex> lock(scratch_mutex);
-    scratch_pool.push_back(std::move(s));
-  }
-};
-
 ShardedRouter::ShardedRouter(const RouterOptions& options)
-    : options_(options),
-      impl_(new Impl),
-      telemetry_(new Telemetry(options.engine.telemetry)) {
-  if (options_.engine.cache_capacity > 0) {
-    impl_->cache =
-        std::make_unique<util::ShardedLruCache<std::string, std::string>>(
-            options_.engine.cache_capacity,
-            std::max<size_t>(1, options_.engine.cache_shards));
-  }
-}
+    : FrontDoor(options.engine) {}
 
 ShardedRouter::~ShardedRouter() {
-  // The exporter's final snapshot reads shard stats, so stop it first;
-  // then drain the router executor (queued jobs still reach the shards,
-  // whose own executors are joined when shards_ is destroyed last).
-  exporter_.reset();
-  impl_->executor.reset();
+  // Queued jobs still reach the shards, whose pools are joined when
+  // shards_ is destroyed after this.
+  Close();
 }
 
 Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
@@ -198,9 +101,9 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
 
   util::SpanTimer timer("serve.router.warmup");
   {
-    // One warm build over the *global* graph; every shard serves from
-    // this bundle (EngineOptions::shared_warm), which is what makes
-    // PageRank/component/hub-label bytes identical across shard counts.
+    // One warm build over the *global* graph; every shard answers from
+    // this bundle, which is what makes PageRank/component/hub-label bytes
+    // identical across shard counts.
     ELITENET_SPAN("serve.router.warm_global");
     auto warm =
         LoadOrBuildWarmIndexes(g, options.engine, &router->warm_from_cache_);
@@ -221,174 +124,28 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     ELITENET_SPAN("serve.router.build_shard");
     auto sg = BuildShardGraph(g, router->partition_, s);
     if (!sg.ok()) return sg.status();
-    EngineOptions sopt = options.engine;
-    sopt.threads = std::max(1, options.shard_threads);
-    // Admission, caching, and telemetry live at the router's front door
-    // only — a shard doing any of it again would double every counter
-    // (and shard sub-requests are cap-exempt by design).
-    sopt.qos = QosOptions{};
-    sopt.shared_warm = &router->warm_;
-    sopt.cache_capacity = 0;
-    sopt.telemetry.enabled = false;
-    sopt.metrics_path.clear();
-    sopt.warm_index_path.clear();
-    auto engine = QueryEngine::Create(std::move(*sg), sopt);
-    if (!engine.ok()) return engine.status();
-    router->shards_.push_back(std::move(*engine));
+    router->shards_.push_back(std::make_unique<RouterShard>(
+        std::move(*sg), std::max(1, options.shard_threads)));
   }
   router->warmup_seconds_ = timer.Seconds();
   // The base CSR dies with `g` here: steady-state memory is the shard
   // subgraphs plus one warm bundle. Everything the router still needs
   // from the base graph is its two scalars.
 
-  router->impl_->executor = std::make_unique<QosExecutor>(
-      std::max(1, options.engine.threads), options.engine.qos);
-
-  if (!options.engine.metrics_path.empty()) {
-    util::SetMetricsEnabled(true);
-    ShardedRouter* raw = router.get();
-    router->exporter_ = std::make_unique<TelemetryExporter>(
-        router->telemetry_.get(), options.engine.metrics_path,
-        options.engine.metrics_interval_ms,
-        [raw] { return raw->StatsContext(); });
-  }
+  router->Open();
   return router;
 }
 
-QueryResponse ShardedRouter::Execute(const Request& r) {
-  return ExecuteTracked(r,
-                        r.deadline_us > 0 ? util::Deadline::After(r.deadline_us)
-                                          : util::Deadline::Infinite(),
-                        /*seq=*/0, /*queue_wait_us=*/0, /*queued=*/false);
+Status ShardedRouter::ResolveSnapshot(const Request& r, ReadView* view) const {
+  // Same rejection (and bytes) as a static engine: the shards are static,
+  // there is no version history to pin into.
+  view->warm = &warm_;
+  return RejectVersionPin(r);
 }
 
-QueryResponse ShardedRouter::Execute(const Request& r,
-                                     const util::Deadline& deadline) {
-  return ExecuteTracked(r, deadline, 0, 0, false);
-}
-
-QueryResponse ShardedRouter::ExecuteLine(std::string_view line) {
-  auto parsed = ParseRequest(line);
-  if (!parsed.ok()) return LineParseErrorResponse(line, parsed.status());
-  return Execute(*parsed);
-}
-
-std::future<QueryResponse> ShardedRouter::Submit(const Request& r) {
-  auto job = std::make_shared<Impl::Job>();
-  job->req = r;
-  job->deadline = r.deadline_us > 0 ? util::Deadline::After(r.deadline_us)
-                                    : util::Deadline::Infinite();
-  if (telemetry_->enabled()) job->seq = telemetry_->NextSeq();
-  job->submitted = std::chrono::steady_clock::now();
-  std::future<QueryResponse> fut = job->promise.get_future();
-  const bool admitted =
-      impl_->executor->Submit(r.qos, job->deadline, [this, job] {
-        const uint64_t wait_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - job->submitted)
-                .count());
-        ELITENET_SKETCH("serve.queue.wait_us", wait_us);
-        job->promise.set_value(ExecuteTracked(job->req, job->deadline,
-                                              job->seq, wait_us,
-                                              /*queued=*/true));
-      });
-  if (!admitted) {
-    ELITENET_COUNT("serve.requests", 1);
-    job->promise.set_value(MakeOverloadedResponse(r));
-  }
-  return fut;
-}
-
-QueryResponse ShardedRouter::ExecuteTracked(const Request& r,
-                                            const util::Deadline& deadline,
-                                            uint64_t seq0,
-                                            uint64_t queue_wait_us,
-                                            bool queued) {
-  ELITENET_COUNT("serve.requests", 1);
-  Telemetry* tel = telemetry_->enabled() ? telemetry_.get() : nullptr;
-  uint64_t seq = 0;
-  uint64_t trace_id = 0;
-  bool sampled = false;
-  if (tel != nullptr) {
-    seq = seq0 != 0 ? seq0 : tel->NextSeq();
-    trace_id = TraceIdFor(seq);
-    sampled = tel->Sampled(trace_id);
-  }
-  std::optional<util::SpanCapture> capture;
-  if (sampled) capture.emplace();
-
-  const int64_t inflight =
-      impl_->inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-  ELITENET_GAUGE_SET("serve.inflight", inflight);
-  util::SpanTimer timer;
-
-  QueryResponse resp;
-  {
-    util::ScopedSpan span(SpanNameFor(r.type));
-    if (r.version != 0) {
-      // Same rejection (and bytes) as a static engine: the shards are
-      // static, there is no version history to pin into.
-      resp = ErrorResponse(
-          r, Status::FailedPrecondition(
-                 "version pins require a live engine (static graph has no "
-                 "version history)"));
-    } else {
-      std::string key;
-      bool from_cache = false;
-      if (impl_->cache != nullptr) {
-        key = CacheKey(r);
-        std::string cached;
-        if (impl_->cache->Get(key, &cached)) {
-          ELITENET_COUNT("serve.cache.hit", 1);
-          resp.json = std::move(cached);
-          resp.cache_hit = true;
-          from_cache = true;
-        } else {
-          ELITENET_COUNT("serve.cache.miss", 1);
-        }
-      }
-      if (!from_cache) {
-        resp = Route(r, deadline);
-        if (resp.ok && !resp.degraded && impl_->cache != nullptr) {
-          impl_->cache->Put(key, resp.json);
-        }
-      }
-    }
-  }
-
-  const uint64_t latency_us = static_cast<uint64_t>(timer.Seconds() * 1e6);
-  RecordLatency(r.type, latency_us);
-  const int64_t now_inflight =
-      impl_->inflight.fetch_sub(1, std::memory_order_relaxed) - 1;
-  ELITENET_GAUGE_SET("serve.inflight", now_inflight);
-  if (tel != nullptr) {
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.seq = seq;
-    record.request = r;
-    record.ok = resp.ok;
-    record.degraded = resp.degraded;
-    record.cache_hit = resp.cache_hit;
-    record.sampled = sampled;
-    record.queued = queued;
-    record.queue_wait_us = queue_wait_us;
-    record.latency_us = latency_us;
-    record.deadline_slack_us = deadline.RemainingMicros();
-    record.deadline_missed =
-        !deadline.infinite() && record.deadline_slack_us == 0;
-    record.oracle_fallback = r.type == RequestType::kDistance &&
-                             !resp.cache_hit && !distance_oracle_active();
-    if (capture.has_value()) {
-      record.spans = capture->Take();
-      record.spans_truncated = capture->truncated();
-    }
-    tel->Record(std::move(record));
-  }
-  return resp;
-}
-
-QueryResponse ShardedRouter::Route(const Request& r,
-                                   const util::Deadline& deadline) {
+QueryResponse ShardedRouter::Compute(const Request& r,
+                                     const util::Deadline& deadline,
+                                     const ReadView& view) {
   switch (r.type) {
     case RequestType::kEgoSummary:
     case RequestType::kNeighbors:
@@ -396,15 +153,15 @@ QueryResponse ShardedRouter::Route(const Request& r,
       // reach, its halo rows) are exact. Out-of-range nodes go to shard
       // 0, whose num_nodes equals the base graph's — identical NotFound
       // bytes.
-      return shards_[HomeShard(r.node)]->ComputeRaw(r, deadline);
+      return shards_[HomeShard(r.node)]->backend.Compute(r, deadline, view);
     case RequestType::kTopKRank:
       return DoTopK(r);
     case RequestType::kDistance:
-      return DoDistance(r, deadline);
+      return DoDistance(r, deadline, view);
     case RequestType::kFingerprint:
       // Answered from the shared warm bundle; any shard renders the
       // same bytes.
-      return shards_[0]->ComputeRaw(r, deadline);
+      return shards_[0]->backend.Compute(r, deadline, view);
   }
   return ErrorResponse(r, Status::Internal("unhandled request type"));
 }
@@ -430,11 +187,11 @@ QueryResponse ShardedRouter::DoTopK(const Request& r) {
     waits.push_back(done->get_future());
     auto positions =
         std::make_shared<std::vector<uint32_t>>(std::move(by_shard[s]));
-    QueryEngine* engine = shards_[s].get();
+    RouterShard* shard = shards_[s].get();
     const WarmIndexes* warm = &warm_;
     auto* out = &degrees;
-    engine->SubmitTask([engine, positions, warm, out, done] {
-      const DiGraph& g = engine->graph();
+    shard->pool.SubmitExempt([shard, positions, warm, out, done] {
+      const DiGraph& g = shard->graph();
       for (uint32_t i : *positions) {
         const NodeId u = warm->rank_order[i];
         (*out)[i] = {g.InDegree(u), g.OutDegree(u)};
@@ -449,15 +206,16 @@ QueryResponse ShardedRouter::DoTopK(const Request& r) {
 }
 
 QueryResponse ShardedRouter::DoDistance(const Request& r,
-                                        const util::Deadline& deadline) {
+                                        const util::Deadline& deadline,
+                                        const ReadView& view) {
   if (r.node >= num_nodes_ || r.target >= num_nodes_) {
     // Identical NotFound bytes (shard graphs share the base num_nodes).
-    return shards_[0]->ComputeRaw(r, deadline);
+    return shards_[0]->backend.Compute(r, deadline, view);
   }
   if (distance_oracle_active()) {
     // The hub-label oracle reads only the shared warm bundle — any shard
     // answers identically; the home shard keeps the routing rule simple.
-    return shards_[HomeShard(r.node)]->ComputeRaw(r, deadline);
+    return shards_[HomeShard(r.node)]->backend.Compute(r, deadline, view);
   }
   // BFS fallback: the shared bounded search over the scatter-gather
   // adjacency — same expansion order as an unsharded engine's local BFS,
@@ -465,91 +223,35 @@ QueryResponse ShardedRouter::DoDistance(const Request& r,
   // match at every shard count.
   ELITENET_COUNT("serve.dist.bfs_fallback", 1);
   ELITENET_SPAN("serve.router.scatter_bfs");
-  auto scratch = impl_->BorrowScratch(static_cast<NodeId>(num_nodes_));
+  // Shard graphs span the base node range, so any shard's scratch pool
+  // sizes the search arenas.
+  GraphBackend& pool = shards_[0]->backend;
+  auto scratch = pool.BorrowScratch();
   ScatterAdj adj(&shards_, &partition_.home);
   const BoundedDistanceResult d = BoundedBidirectionalDistance(
       adj, r.node, r.target, deadline, &scratch->fwd, &scratch->bwd);
-  impl_->ReturnScratch(std::move(scratch));
+  pool.ReturnScratch(std::move(scratch));
   return MakeDistanceResponse(r, d);
 }
 
-int ShardedRouter::threads() const {
-  return impl_->executor != nullptr ? impl_->executor->threads() : 0;
-}
-
-uint64_t ShardedRouter::cache_hits() const {
-  return impl_->cache != nullptr ? impl_->cache->hits() : 0;
-}
-
-uint64_t ShardedRouter::cache_misses() const {
-  return impl_->cache != nullptr ? impl_->cache->misses() : 0;
-}
-
-void ShardedRouter::ClearResultCache() {
-  if (impl_->cache != nullptr) impl_->cache->Clear();
-}
-
-void ShardedRouter::SetTelemetryEnabled(bool on) {
-  telemetry_->set_enabled(on);
-}
-
-EngineStatsContext ShardedRouter::StatsContext() const {
-  EngineStatsContext ctx;
-  ctx.nodes = num_nodes_;
-  ctx.edges = num_edges_;
-  ctx.workers = threads();
-  ctx.oracle_active = distance_oracle_active();
-  ctx.cache_hits = cache_hits();
-  ctx.cache_misses = cache_misses();
-  ctx.warmup_seconds = warmup_seconds_;
-  ctx.warm_from_cache = warm_from_cache_;
-  ctx.inflight = impl_->inflight.load(std::memory_order_relaxed);
-  if (impl_->executor != nullptr) {
-    ctx.qos = true;
-    for (size_t i = 0; i < kNumQosClasses; ++i) {
-      const QosClass cls = QosClassAt(i);
-      ctx.classes[i] = impl_->executor->class_stats(cls);
-      ctx.class_deadline_miss[i] = telemetry_->class_deadline_miss(cls);
-    }
-  }
-  ctx.shards.reserve(shards_.size());
+void ShardedRouter::AddStats(EngineStatsContext* ctx) const {
+  ctx->nodes = num_nodes_;
+  ctx->edges = num_edges_;
+  ctx->oracle_active = distance_oracle_active();
+  ctx->shards.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const EngineStatsContext sc = shards_[s]->StatsContext();
     EngineStatsContext::ShardEntry entry;
     entry.id = static_cast<int>(s);
     entry.nodes = partition_.home_nodes[s];
     entry.edges = shards_[s]->graph().num_edges();
-    entry.cache_hits = sc.cache_hits;
-    entry.cache_misses = sc.cache_misses;
     for (size_t i = 0; i < kNumQosClasses; ++i) {
-      entry.queue_depth += sc.classes[i].queue_depth;
-      entry.executed += sc.classes[i].executed;
+      const QosClassStats cs = shards_[s]->pool.class_stats(QosClassAt(i));
+      entry.queue_depth += cs.queue_depth;
+      entry.executed += cs.executed;
     }
-    ctx.shards.push_back(entry);
+    ctx->shards.push_back(entry);
   }
-  ctx.hub_replicas = partition_.hubs.size();
-  return ctx;
-}
-
-std::string ShardedRouter::AdminResponse(const AdminCommand& cmd) const {
-  switch (cmd.kind) {
-    case AdminCommand::Kind::kStats:
-      return RenderStatsJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kHealthz:
-      return RenderHealthzJson(*telemetry_, StatsContext());
-    case AdminCommand::Kind::kRecent:
-      return RenderRecentJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kSlow:
-      return RenderSlowJson(*telemetry_, cmd.n);
-    case AdminCommand::Kind::kTrace:
-      return RenderTraceJson(*telemetry_, cmd.trace_id);
-    case AdminCommand::Kind::kVersion:
-      return RenderVersionJson(StatsContext());
-    case AdminCommand::Kind::kOverlay:
-      return RenderOverlayJson(StatsContext());
-  }
-  return "{\"type\":\"error\",\"code\":\"internal\",\"message\":\"unhandled "
-         "admin command\"}";
+  ctx->hub_replicas = partition_.hubs.size();
 }
 
 }  // namespace serve

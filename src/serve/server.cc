@@ -1,9 +1,8 @@
 #include "serve/server.h"
 
+#include <climits>
 #include <cstdlib>
 #include <string>
-
-#include "serve/router.h"
 
 #include "util/check.h"
 #include "util/string_utils.h"
@@ -11,13 +10,8 @@
 namespace elitenet {
 namespace serve {
 
-namespace {
-
-// One loop for both front doors: anything with ExecuteLine + AdminResponse
-// (QueryEngine, ShardedRouter) serves the same wire protocol.
-template <typename Server>
-ServeStats ServeLinesImpl(Server* engine, std::FILE* in, std::FILE* out) {
-  EN_CHECK(engine != nullptr);
+ServeStats ServeLines(FrontDoor* door, std::FILE* in, std::FILE* out) {
+  EN_CHECK(door != nullptr);
   EN_CHECK(in != nullptr);
   EN_CHECK(out != nullptr);
   ServeStats stats;
@@ -42,7 +36,7 @@ ServeStats ServeLinesImpl(Server* engine, std::FILE* in, std::FILE* out) {
       auto cmd = ParseAdminLine(stripped);
       if (cmd.ok()) {
         ++stats.admin;
-        const std::string json = engine->AdminResponse(*cmd);
+        const std::string json = door->AdminResponse(*cmd);
         std::fprintf(out, "%s\n", json.c_str());
         std::fflush(out);
       } else if (cmd.status().code() == StatusCode::kInvalidArgument) {
@@ -59,7 +53,7 @@ ServeStats ServeLinesImpl(Server* engine, std::FILE* in, std::FILE* out) {
       continue;
     }
     if (stripped == "quit") break;
-    const QueryResponse resp = engine->ExecuteLine(stripped);
+    const QueryResponse resp = door->ExecuteLine(stripped);
     ++stats.requests;
     if (!resp.ok) ++stats.errors;
     if (resp.degraded) ++stats.degraded;
@@ -69,29 +63,22 @@ ServeStats ServeLinesImpl(Server* engine, std::FILE* in, std::FILE* out) {
   return stats;
 }
 
-}  // namespace
-
-ServeStats ServeLines(QueryEngine* engine, std::FILE* in, std::FILE* out) {
-  return ServeLinesImpl(engine, in, out);
-}
-
-ServeStats ServeLines(ShardedRouter* router, std::FILE* in, std::FILE* out) {
-  return ServeLinesImpl(router, in, out);
+bool ParseBoundedUint(std::string_view value, uint64_t lo, uint64_t hi,
+                      uint64_t* out) {
+  uint64_t v = 0;
+  if (!util::ParseUint64(value, &v) || v < lo || v > hi) return false;
+  *out = v;
+  return true;
 }
 
 namespace {
 
-// "--flag=<uint>" value parse; false on empty/non-numeric.
-bool ParseUintValue(std::string_view value, uint64_t* out) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string_view::npos) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (char ch : value) v = v * 10 + static_cast<uint64_t>(ch - '0');
-  *out = v;
-  return true;
-}
+// Per-field bounds: each value must fit the field it lands in, and
+// --slow-ms must survive the conversion to microseconds.
+constexpr uint64_t kMaxIntervalMs = INT_MAX;
+constexpr uint64_t kMaxRecorder = uint64_t{1} << 24;
+constexpr uint64_t kMaxSlowMs = UINT64_MAX / 1000;
+constexpr uint64_t kMaxSample = UINT32_MAX;
 
 }  // namespace
 
@@ -103,20 +90,22 @@ bool ParseServeFlag(std::string_view arg, EngineOptions* options) {
     return true;
   }
   if (arg.rfind("--metrics-interval=", 0) == 0 &&
-      ParseUintValue(arg.substr(19), &v)) {
+      ParseBoundedUint(arg.substr(19), 0, kMaxIntervalMs, &v)) {
     options->metrics_interval_ms = static_cast<int>(v);
     return true;
   }
   if (arg.rfind("--flight-recorder=", 0) == 0 &&
-      ParseUintValue(arg.substr(18), &v)) {
+      ParseBoundedUint(arg.substr(18), 0, kMaxRecorder, &v)) {
     options->telemetry.recorder_capacity = static_cast<size_t>(v);
     return true;
   }
-  if (arg.rfind("--slow-ms=", 0) == 0 && ParseUintValue(arg.substr(10), &v)) {
+  if (arg.rfind("--slow-ms=", 0) == 0 &&
+      ParseBoundedUint(arg.substr(10), 0, kMaxSlowMs, &v)) {
     options->telemetry.slow_us = v * 1000;
     return true;
   }
-  if (arg.rfind("--sample=", 0) == 0 && ParseUintValue(arg.substr(9), &v)) {
+  if (arg.rfind("--sample=", 0) == 0 &&
+      ParseBoundedUint(arg.substr(9), 0, kMaxSample, &v)) {
     options->telemetry.sample_every = static_cast<uint32_t>(v);
     return true;
   }
@@ -135,15 +124,15 @@ void ApplyServeEnv(EngineOptions* options) {
     options->metrics_path = env;
   }
   if (const char* env = std::getenv("ELITENET_METRICS_INTERVAL_MS");
-      env != nullptr && ParseUintValue(env, &v)) {
+      env != nullptr && ParseBoundedUint(env, 0, kMaxIntervalMs, &v)) {
     options->metrics_interval_ms = static_cast<int>(v);
   }
   if (const char* env = std::getenv("ELITENET_FLIGHT_RECORDER");
-      env != nullptr && ParseUintValue(env, &v)) {
+      env != nullptr && ParseBoundedUint(env, 0, kMaxRecorder, &v)) {
     options->telemetry.recorder_capacity = static_cast<size_t>(v);
   }
   if (const char* env = std::getenv("ELITENET_SLOW_MS");
-      env != nullptr && ParseUintValue(env, &v)) {
+      env != nullptr && ParseBoundedUint(env, 0, kMaxSlowMs, &v)) {
     options->telemetry.slow_us = v * 1000;
   }
 }

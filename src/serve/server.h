@@ -9,13 +9,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
 
 #include "serve/engine.h"
+#include "serve/front_door.h"
 
 namespace elitenet {
 namespace serve {
-
-class ShardedRouter;
 
 struct ServeStats {
   uint64_t requests = 0;
@@ -32,18 +32,23 @@ struct ServeStats {
 /// path) and comments otherwise, preserving the old comment syntax.
 /// Malformed requests and bad admin arguments produce
 /// {"type":"error",...} lines, never a crash or a silent drop. Returns
-/// tallies for the session.
-ServeStats ServeLines(QueryEngine* engine, std::FILE* in, std::FILE* out);
+/// tallies for the session. Either backend serves through its front
+/// door: a QueryEngine or a ShardedRouter (identical wire protocol and,
+/// by the router's contract, identical response bytes).
+ServeStats ServeLines(FrontDoor* door, std::FILE* in, std::FILE* out);
 
-/// Same loop over a sharded router (serve/router.h) — identical wire
-/// protocol and, by the router's contract, identical response bytes.
-ServeStats ServeLines(ShardedRouter* router, std::FILE* in, std::FILE* out);
+/// The checked numeric parse every serving flag goes through: true (and
+/// `*out` set) when `value` is a decimal integer in [lo, hi]; false on
+/// empty, non-numeric, overflowing or out-of-range input.
+bool ParseBoundedUint(std::string_view value, uint64_t lo, uint64_t hi,
+                      uint64_t* out);
 
 /// Parses one telemetry-related command-line flag shared by
 /// `elitenet_serve` and `elitenet_cli serve` into `options`:
 ///   --metrics=<path> --metrics-interval=<ms> --flight-recorder=<K>
 ///   --slow-ms=<t> --sample=<N> --no-telemetry
-/// Returns false (options untouched) when `arg` is not one of these.
+/// Returns false (options untouched) when `arg` is not one of these or
+/// its value does not fit the field.
 bool ParseServeFlag(std::string_view arg, EngineOptions* options);
 
 /// Applies the telemetry environment fallbacks (ELITENET_METRICS,

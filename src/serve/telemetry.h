@@ -145,7 +145,7 @@ struct SloCounters {
 
 /// The serving telemetry plane: sequence numbers, sampling decisions,
 /// SLO counters, per-type latency sketches, and the two rings. One
-/// instance per QueryEngine; all methods are thread-safe.
+/// instance per FrontDoor; all methods are thread-safe.
 class Telemetry {
  public:
   explicit Telemetry(const TelemetryOptions& options);
@@ -271,7 +271,7 @@ struct EngineStatsContext {
   bool qos = false;
   QosClassStats classes[kNumQosClasses] = {};
   uint64_t class_deadline_miss[kNumQosClasses] = {};
-  /// Sharded-router facts: one entry per shard engine (empty on a plain
+  /// Sharded-router facts: one entry per shard (empty on a plain
   /// engine). RenderStatsJson emits a "shards" array when non-empty.
   struct ShardEntry {
     int id = 0;

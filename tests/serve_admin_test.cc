@@ -210,6 +210,19 @@ TEST(ServeAdminTest, FlagParsingConfiguresTelemetry) {
   EXPECT_EQ(opts.telemetry.slow_us, 20000u);
   EXPECT_TRUE(ParseServeFlag("--sample=8", &opts));
   EXPECT_EQ(opts.telemetry.sample_every, 8u);
+  // Values that do not fit their field are rejected and leave the options
+  // untouched: 2^32 would truncate sample_every to 0 (span capture off),
+  // and --slow-ms past UINT64_MAX/1000 would wrap when scaled to us.
+  EXPECT_FALSE(ParseServeFlag("--sample=4294967296", &opts));
+  EXPECT_EQ(opts.telemetry.sample_every, 8u);
+  EXPECT_FALSE(ParseServeFlag("--slow-ms=18446744073709552", &opts));
+  EXPECT_FALSE(ParseServeFlag("--slow-ms=99999999999999999999", &opts));
+  EXPECT_EQ(opts.telemetry.slow_us, 20000u);
+  EXPECT_FALSE(ParseServeFlag("--metrics-interval=2147483648", &opts));
+  EXPECT_EQ(opts.metrics_interval_ms, 250);
+  EXPECT_FALSE(ParseServeFlag("--flight-recorder=-1", &opts));
+  EXPECT_FALSE(ParseServeFlag("--flight-recorder=", &opts));
+  EXPECT_EQ(opts.telemetry.recorder_capacity, 1024u);
   EXPECT_TRUE(ParseServeFlag("--no-telemetry", &opts));
   EXPECT_FALSE(opts.telemetry.enabled);
   EXPECT_FALSE(ParseServeFlag("--unknown=1", &opts));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "gen/verified_network.h"
 #include "serve/engine.h"
 #include "serve/request.h"
+#include "serve/router.h"
 
 namespace elitenet {
 namespace serve {
@@ -325,29 +327,47 @@ TEST_F(TelemetryEngineTest, ResponsesIdenticalAcrossTelemetryAndWorkers) {
   }
 }
 
+// The front doors the lifecycle tests run against: the unsharded engine
+// and a 2-shard router over the same graph, built with the same options.
+std::vector<std::unique_ptr<FrontDoor>> FrontDoors(const EngineOptions& opts) {
+  std::vector<std::unique_ptr<FrontDoor>> doors;
+  auto engine = QueryEngine::Create(*TelemetryEngineTest::graph_, opts);
+  EXPECT_TRUE(engine.ok());
+  if (engine.ok()) doors.push_back(std::move(*engine));
+  RouterOptions ropts;
+  ropts.num_shards = 2;
+  ropts.engine = opts;
+  auto router = ShardedRouter::Create(*TelemetryEngineTest::graph_, ropts);
+  EXPECT_TRUE(router.ok());
+  if (router.ok()) doors.push_back(std::move(*router));
+  return doors;
+}
+
 TEST_F(TelemetryEngineTest, SubmittedRequestsGetSequentialTraceIds) {
   EngineOptions opts;
   opts.threads = 2;
   opts.telemetry.recorder_capacity = 512;
-  auto engine = QueryEngine::Create(*graph_, opts);
-  ASSERT_TRUE(engine.ok());
-  const std::vector<Request> mix = SmallMix();
-  std::vector<std::future<QueryResponse>> futures;
-  for (const Request& r : mix) futures.push_back((*engine)->Submit(r));
-  for (auto& f : futures) f.get();
+  const auto doors = FrontDoors(opts);
+  ASSERT_EQ(doors.size(), 2u);
+  for (const auto& door : doors) {
+    const std::vector<Request> mix = SmallMix();
+    std::vector<std::future<QueryResponse>> futures;
+    for (const Request& r : mix) futures.push_back(door->Submit(r));
+    for (auto& f : futures) f.get();
 
-  const Telemetry& tel = (*engine)->telemetry();
-  EXPECT_EQ(tel.totals().requests, mix.size());
-  // Every record's trace id must be the splitmix of its seq, and the
-  // seqs must cover 1..n exactly (claimed at submission, in order).
-  std::set<uint64_t> seqs;
-  for (const RequestRecord& r : tel.recent().Recent(mix.size())) {
-    EXPECT_EQ(r.trace_id, TraceIdFor(r.seq));
-    seqs.insert(r.seq);
+    const Telemetry& tel = door->telemetry();
+    EXPECT_EQ(tel.totals().requests, mix.size());
+    // Every record's trace id must be the splitmix of its seq, and the
+    // seqs must cover 1..n exactly (claimed at submission, in order).
+    std::set<uint64_t> seqs;
+    for (const RequestRecord& r : tel.recent().Recent(mix.size())) {
+      EXPECT_EQ(r.trace_id, TraceIdFor(r.seq));
+      seqs.insert(r.seq);
+    }
+    EXPECT_EQ(seqs.size(), mix.size());
+    EXPECT_EQ(*seqs.begin(), 1u);
+    EXPECT_EQ(*seqs.rbegin(), mix.size());
   }
-  EXPECT_EQ(seqs.size(), mix.size());
-  EXPECT_EQ(*seqs.begin(), 1u);
-  EXPECT_EQ(*seqs.rbegin(), mix.size());
 }
 
 TEST_F(TelemetryEngineTest, RuntimeToggleStopsRecordingNotResponses) {
@@ -385,27 +405,29 @@ TEST_F(TelemetryEngineTest, SampledRequestsCarrySpanTrees) {
   opts.threads = 1;
   opts.cache_capacity = 0;          // every request computes
   opts.telemetry.sample_every = 1;  // sample everything
-  auto engine = QueryEngine::Create(*graph_, opts);
-  ASSERT_TRUE(engine.ok());
-  Request r;
-  r.type = RequestType::kEgoSummary;
-  r.node = 3;
-  (*engine)->Execute(r);
+  const auto doors = FrontDoors(opts);
+  ASSERT_EQ(doors.size(), 2u);
+  for (const auto& door : doors) {
+    Request r;
+    r.type = RequestType::kEgoSummary;
+    r.node = 3;
+    door->Execute(r);
 
-  const auto recent = (*engine)->telemetry().recent().Recent(1);
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_TRUE(recent[0].sampled);
-  ASSERT_FALSE(recent[0].spans.empty());
-  // Root span is the per-type span; serve.compute nests under it.
-  EXPECT_STREQ(recent[0].spans[0].name, "serve.ego");
-  bool has_compute = false;
-  for (const auto& s : recent[0].spans) {
-    if (std::string_view(s.name) == "serve.compute") {
-      has_compute = true;
-      EXPECT_GT(s.depth, 0);
+    const auto recent = door->telemetry().recent().Recent(1);
+    ASSERT_EQ(recent.size(), 1u);
+    EXPECT_TRUE(recent[0].sampled);
+    ASSERT_FALSE(recent[0].spans.empty());
+    // Root span is the per-type span; serve.compute nests under it.
+    EXPECT_STREQ(recent[0].spans[0].name, "serve.ego");
+    bool has_compute = false;
+    for (const auto& s : recent[0].spans) {
+      if (std::string_view(s.name) == "serve.compute") {
+        has_compute = true;
+        EXPECT_GT(s.depth, 0);
+      }
     }
+    EXPECT_TRUE(has_compute);
   }
-  EXPECT_TRUE(has_compute);
 }
 
 TEST_F(TelemetryEngineTest, AdminResponsesAreOneLineJson) {
