@@ -1,10 +1,13 @@
 #include "graph/hub_labels.h"
 
+#include <atomic>
 #include <cstddef>
+#include <exception>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "graph/frontier.h"
 #include "graph/traversal.h"
 #include "util/parallel.h"
 
@@ -12,163 +15,168 @@ namespace elitenet {
 namespace graph {
 namespace {
 
-// One pruned BFS from `root` on the relabeled graph. Forward BFSs expand
-// out-edges and append (root, d(root->v)) to L_in(v); backward BFSs expand
-// in-edges and append to L_out(v). In both cases the rows being appended to
-// are exactly the rows the prune query reads, so the routine takes just one
-// row array plus the dense distance view of the root's *opposite* label set
-// (root_dist[h] = d(root->h) forward, d(h->root) backward).
+using LabelRows = std::vector<std::vector<HubLabelEntry>>;
+
+// The prune probe needs no infinity test: a hub the root cannot reach
+// reads UINT32_MAX, and UINT32_MAX + dist never fits under a BFS depth.
+static_assert(kInfiniteDistance == UINT32_MAX);
+
+// One direction of a hub's pruned BFS. The forward lane expands out-edges
+// and appends (root, d(root->v)) to L_in(v); the backward lane expands
+// in-edges and appends to L_out(v). A lane's probe reads only the rows it
+// appends to, its own visited stamps and its dense view of the root's
+// *opposite* label set (root_dist[h] = d(root->h) forward, d(h->root)
+// backward), so a root's two lanes share nothing mutable and run at once.
 //
-// Level-synchronous with three parallel-safe phases per level:
-//   A (parallel) gather unvisited neighbors per fixed-boundary frontier
-//     chunk into chunk-local buffers — reads the arena, writes nothing
-//     shared;
-//   B (serial) walk the chunk buffers in chunk order, first-come dedupe via
-//     arena.Visit — the only phase that mutates traversal state;
-//   C (parallel) per deduped candidate, run the prune query against its own
-//     row and append the new label on survival — rows are disjoint per
-//     node, so no two workers ever touch the same vector;
-//   D (serial) compact survivors into the next frontier.
-// Chunk boundaries come from EffectiveGrain, so every phase computes the
-// same thing at any thread count.
-//
-// Prune soundness: a candidate's row holds only hubs ranked before `root`
-// (a (root, ·) entry would mean the node was already visited in this BFS),
-// and root_dist is densified from rows that this BFS never appends to, so
-// the query is exactly Query_{root-1} — fixed for the whole BFS, which is
-// what lets level-parallel evaluation match the sequential algorithm
-// label-for-label.
-//
-// Returns the number of labels appended.
-uint64_t PrunedBfs(const DiGraph& rg, NodeId root, bool forward,
-                   std::vector<std::vector<HubLabelEntry>>& rows,
-                   const std::vector<uint32_t>& root_dist,
-                   ScratchArena& arena, std::vector<NodeId>& candidates,
-                   std::vector<uint8_t>& keep,
-                   std::vector<std::vector<NodeId>>& chunk_buf) {
-  arena.BeginEpoch();
-  arena.Visit(root, 0, root);
-  // The root is never prunable: hubs before it cannot certify distance 0.
-  rows[root].push_back(PackHubLabel(root, 0));
-  uint64_t appended = 1;
+// Prune soundness: a candidate's row holds only hubs ranked before the
+// root (a (root, ·) entry would mean the node was already visited), and
+// both views are densified before either lane pushes its root entry, so
+// the probe is exactly Query_{root-1}: the sequential algorithm, label
+// for label.
+class Lane {
+ public:
+  Lane(NodeId n, bool forward, LabelRows* rows)
+      : forward_(forward), rows_(*rows), seen_(n, 0),
+        root_dist_(n, kInfiniteDistance) {}
+  Lane(const Lane&) = delete;  // a partner thread holds its address
+  Lane& operator=(const Lane&) = delete;
 
-  std::vector<NodeId>& frontier = arena.frontier();
-  frontier.clear();
-  frontier.push_back(root);
-
-  // Below this frontier width the phased machinery costs more than the
-  // level itself (two closure dispatches per level bites hard on
-  // high-diameter graphs, where every frontier is a handful of nodes).
-  // The serial path walks the frontier in index order — the exact order
-  // the chunked phases produce — so the two paths are interchangeable
-  // without affecting output.
-  constexpr size_t kSerialFrontier = 256;
-  // With one worker the phases degrade to three extra passes over the
-  // candidate set (plus duplicate neighbor writes into the chunk
-  // buffers), so a solo pool always takes the serial path.
-  const bool serial_pool = util::ThreadCount() <= 1;
-
-  for (uint32_t depth = 1; !frontier.empty(); ++depth) {
-    if (serial_pool || frontier.size() <= kSerialFrontier) {
-      candidates.clear();
-      for (const NodeId u : frontier) {
-        for (const NodeId v :
-             forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
-          if (!arena.Visited(v)) {
-            arena.Visit(v, depth, v);
-            candidates.push_back(v);
-          }
-        }
-      }
-      if (candidates.empty()) break;
-      frontier.clear();
-      for (const NodeId v : candidates) {
-        // Only the boolean "is there a certificate <= depth" matters, so
-        // stop at the first one — rows lead with the highest-degree hubs,
-        // which certify almost every pruned candidate in one or two
-        // probes. (Without the break this loop is the build's hot spot.)
-        bool pruned = false;
-        for (const HubLabelEntry e : rows[v]) {
-          const uint32_t rd = root_dist[HubLabelRank(e)];
-          if (rd == kInfiniteDistance) continue;
-          if (uint64_t{rd} + HubLabelDist(e) <= depth) {
-            pruned = true;
-            break;
-          }
-        }
-        if (pruned) continue;
-        rows[v].push_back(PackHubLabel(root, depth));
-        frontier.push_back(v);
-        ++appended;
-      }
-      continue;
-    }
-
-    // Phase A: gather candidate neighbors per chunk.
-    const size_t step = util::EffectiveGrain(frontier.size(), 0);
-    const size_t chunks = (frontier.size() + step - 1) / step;
-    if (chunk_buf.size() < chunks) chunk_buf.resize(chunks);
-    util::ParallelFor(0, frontier.size(), step, [&](size_t lo, size_t hi) {
-      std::vector<NodeId>& buf = chunk_buf[lo / step];
-      buf.clear();
-      for (size_t i = lo; i < hi; ++i) {
-        const NodeId u = frontier[i];
-        for (const NodeId v :
-             forward ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
-          if (!arena.Visited(v)) buf.push_back(v);
-        }
-      }
-    });
-
-    // Phase B: first-come dedupe in chunk order; mark visited.
-    candidates.clear();
-    for (size_t c = 0; c < chunks; ++c) {
-      for (const NodeId v : chunk_buf[c]) {
-        if (!arena.Visited(v)) {
-          arena.Visit(v, depth, v);
-          candidates.push_back(v);
-        }
-      }
-    }
-    if (candidates.empty()) break;
-
-    // Phase C: prune query + label append, disjoint row per candidate.
-    keep.assign(candidates.size(), 0);
-    util::ParallelFor(0, candidates.size(), 0, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const NodeId v = candidates[i];
-        // First certificate wins, same early exit as the serial path.
-        bool pruned = false;
-        for (const HubLabelEntry e : rows[v]) {
-          const uint32_t rd = root_dist[HubLabelRank(e)];
-          if (rd == kInfiniteDistance) continue;
-          if (uint64_t{rd} + HubLabelDist(e) <= depth) {
-            pruned = true;
-            break;
-          }
-        }
-        if (pruned) continue;  // no label, no expansion
-        rows[v].push_back(PackHubLabel(root, depth));
-        keep[i] = 1;
-      }
-    });
-
-    // Phase D: survivors become the next frontier.
-    frontier.clear();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (keep[i]) {
-        frontier.push_back(candidates[i]);
-        ++appended;
-      }
+  void Densify(const std::vector<HubLabelEntry>& opposite) {
+    for (const HubLabelEntry e : opposite) {
+      root_dist_[HubLabelRank(e)] = HubLabelDist(e);
     }
   }
-  return appended;
+  void Clear(const std::vector<HubLabelEntry>& opposite) {
+    for (const HubLabelEntry e : opposite) {
+      root_dist_[HubLabelRank(e)] = kInfiniteDistance;
+    }
+  }
+
+  void Run(const DiGraph& rg, NodeId root) {
+    // seen_[v] == root + 1 marks v visited by this root's BFS.
+    const NodeId stamp = root + 1;
+    seen_[root] = stamp;
+    // The root is never prunable: hubs before it cannot certify distance 0.
+    rows_[root].push_back(PackHubLabel(root, 0));
+    ++appended_;
+    frontier_.assign(1, root);
+    for (uint32_t depth = 1; !frontier_.empty(); ++depth) {
+      next_.clear();
+      for (const NodeId u : frontier_) {
+        for (const NodeId v :
+             forward_ ? rg.OutNeighbors(u) : rg.InNeighbors(u)) {
+          if (seen_[v] == stamp) continue;
+          seen_[v] = stamp;
+          // The verdict reads only v's own row and the fixed view, so
+          // probing on discovery matches probing the level afterwards.
+          if (Certified(rows_[v], depth)) continue;  // no label, no expansion
+          rows_[v].push_back(PackHubLabel(root, depth));
+          next_.push_back(v);
+          ++appended_;
+        }
+      }
+      frontier_.swap(next_);
+    }
+  }
+
+  uint64_t appended() const { return appended_; }
+
+ private:
+  // Only "is there a certificate <= depth" matters, so stop at the first
+  // one — rows lead with the highest-degree hubs, which certify almost
+  // every pruned candidate in one or two probes.
+  bool Certified(const std::vector<HubLabelEntry>& row,
+                 uint32_t depth) const {
+    for (const HubLabelEntry e : row) {
+      if (uint64_t{root_dist_[HubLabelRank(e)]} + HubLabelDist(e) <= depth) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const bool forward_;
+  LabelRows& rows_;
+  std::vector<NodeId> seen_;
+  std::vector<uint32_t> root_dist_;
+  std::vector<NodeId> frontier_;
+  std::vector<NodeId> next_;
+  uint64_t appended_ = 0;
+};
+
+// Waits until `a` moves off `old` and returns the new value. A lane's BFS
+// mostly ends within microseconds, so spin briefly; past that, block.
+uint32_t AwaitChange(const std::atomic<uint32_t>& a, uint32_t old) {
+  for (int spin = 0; spin < 4096; ++spin) {
+    const uint32_t now = a.load(std::memory_order_acquire);
+    if (now != old) return now;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  a.wait(old, std::memory_order_acquire);
+  return a.load(std::memory_order_acquire);
 }
+
+// Runs one lane on a dedicated thread, one root per handoff: Post(r)
+// starts root r's BFS, Wait() returns once it is done and rethrows what
+// the BFS threw. Stopping is its own flag, so the final wake-up never runs
+// a stale BFS, and the destructor joins the thread on every exit path.
+class PartnerThread {
+ public:
+  PartnerThread(const DiGraph& rg, Lane* lane)
+      : thread_([this, &rg, lane] {
+          for (uint32_t seen = 0;;) {
+            seen = AwaitChange(go_, seen);
+            if (stop_) return;
+            try {
+              lane->Run(rg, root_);
+            } catch (...) {
+              error_ = std::current_exception();
+            }
+            done_.store(seen, std::memory_order_release);
+            done_.notify_one();
+          }
+        }) {}
+  PartnerThread(const PartnerThread&) = delete;
+  PartnerThread& operator=(const PartnerThread&) = delete;
+  ~PartnerThread() {
+    stop_ = true;
+    Signal();
+    thread_.join();
+  }
+
+  void Post(NodeId root) {
+    root_ = root;
+    Signal();
+  }
+  void Wait() {
+    AwaitChange(done_, posted_ - 1);
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void Signal() {
+    go_.store(++posted_, std::memory_order_release);
+    go_.notify_one();
+  }
+
+  // root_ is published by the release store to go_, error_ by the one to
+  // done_. stop_ is atomic because an exception can unwind the build while
+  // a posted BFS has not yet been picked up.
+  NodeId root_ = 0;
+  std::atomic<bool> stop_{false};
+  std::exception_ptr error_;
+  uint32_t posted_ = 0;
+  std::atomic<uint32_t> go_{0};
+  std::atomic<uint32_t> done_{0};
+  std::thread thread_;  // last: starts once the fields above exist
+};
 
 // Flattens per-node rows (indexed by relabeled id) into a CSR pair indexed
 // by original id. Rows are already sorted ascending by hub rank — labels
 // were appended in hub-processing order.
-void Flatten(const std::vector<std::vector<HubLabelEntry>>& rows,
+void Flatten(const LabelRows& rows,
              const std::vector<NodeId>& old_to_new,
              std::vector<EdgeIdx>* offsets,
              std::vector<HubLabelEntry>* entries) {
@@ -263,46 +271,36 @@ HubLabels BuildHubLabels(const DiGraph& g, const HubLabelOptions& options) {
   const DiGraph& rg = rel.graph;
 
   // Rows indexed by relabeled id == hub rank; hub rank r processes node r.
-  std::vector<std::vector<HubLabelEntry>> out_rows(n);
-  std::vector<std::vector<HubLabelEntry>> in_rows(n);
-  uint64_t total_out = 0;
-  uint64_t total_in = 0;
+  LabelRows out_rows(n), in_rows(n);
   const uint64_t budget =
       options.max_avg_label_entries == 0
           ? UINT64_MAX
           : static_cast<uint64_t>(options.max_avg_label_entries) * n;
 
-  ScratchArena arena(n);
-  std::vector<uint32_t> root_dist(n, kInfiniteDistance);
-  std::vector<NodeId> candidates;
-  std::vector<uint8_t> keep;
-  std::vector<std::vector<NodeId>> chunk_buf;
+  Lane forward(n, /*forward=*/true, &in_rows);
+  Lane backward(n, /*forward=*/false, &out_rows);
+  // Declared after everything its lane touches, so it is joined first.
+  std::optional<PartnerThread> partner;
+  if (util::ThreadCount() > 1 && !util::InParallelRegion()) {
+    partner.emplace(rg, &backward);
+  }
 
   for (NodeId r = 0; r < n; ++r) {
-    // Forward: L_out(r) (hubs before r that r reaches) densifies the prune
-    // query for appends into L_in. The densified row is never appended to
-    // by this BFS, so the view stays valid throughout.
-    for (const HubLabelEntry e : out_rows[r]) {
-      root_dist[HubLabelRank(e)] = HubLabelDist(e);
+    // Both views before either BFS runs: each lane pushes its root entry
+    // into the row the other lane's view is read from.
+    forward.Densify(out_rows[r]);
+    backward.Densify(in_rows[r]);
+    if (partner) partner->Post(r);
+    else backward.Run(rg, r);
+    forward.Run(rg, r);
+    if (partner) partner->Wait();
+    forward.Clear(out_rows[r]);
+    backward.Clear(in_rows[r]);
+    if (forward.appended() > budget || backward.appended() > budget) {
+      return HubLabels{};
     }
-    total_in += PrunedBfs(rg, r, /*forward=*/true, in_rows, root_dist,
-                          arena, candidates, keep, chunk_buf);
-    for (const HubLabelEntry e : out_rows[r]) {
-      root_dist[HubLabelRank(e)] = kInfiniteDistance;
-    }
-    if (total_in > budget) return HubLabels{};
-
-    // Backward over in-edges: L_in(r) drives the prune query for L_out.
-    for (const HubLabelEntry e : in_rows[r]) {
-      root_dist[HubLabelRank(e)] = HubLabelDist(e);
-    }
-    total_out += PrunedBfs(rg, r, /*forward=*/false, out_rows, root_dist,
-                           arena, candidates, keep, chunk_buf);
-    for (const HubLabelEntry e : in_rows[r]) {
-      root_dist[HubLabelRank(e)] = kInfiniteDistance;
-    }
-    if (total_out > budget) return HubLabels{};
   }
+  partner.reset();
 
   Flatten(out_rows, rel.old_to_new, &labels.out_offsets_,
           &labels.out_entries_);

@@ -19,11 +19,14 @@
 //
 // Determinism: the label set is a pure function of (graph, hub order) —
 // pruning consults only labels of earlier hubs, which are fixed for the
-// whole BFS of hub k. Construction parallelizes *within* each BFS level
-// (discover candidates per fixed-boundary chunk, dedupe in chunk order,
-// then evaluate prune checks per node), so output is bit-identical at any
-// thread count; chunk boundaries come from util::EffectiveGrain and never
-// depend on the thread count.
+// whole BFS of hub k. Each hub's forward and backward BFS run as two
+// lanes that share nothing mutable: forward appends to and probes only
+// L_in rows, backward only L_out rows, and both dense root views are
+// filled before either lane pushes its root entry. With more than one
+// util::ThreadCount() thread the backward lane runs on a partner thread
+// beside the forward one, one hub at a time; with one, the lanes run in
+// turn. Each BFS is serial, so output is bit-identical at any thread
+// count.
 //
 // The flat representation is CSR-shaped (offsets + packed entry array)
 // specifically so the serving layer can persist it as two pairs of

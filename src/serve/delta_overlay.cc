@@ -123,7 +123,7 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
   auto epoch = std::make_shared<Epoch>(std::move(base));
   epoch->warm_payload = std::move(warm_payload);
   lg->writer_epoch_ = epoch;
-  lg->epoch_.store(std::shared_ptr<const Epoch>(epoch));
+  lg->PublishEpoch(epoch);
 
   if (!options.log_path.empty()) {
     // Recovery: an existing WAL is the authoritative mutation history for
@@ -152,7 +152,15 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Create(
 }
 
 std::shared_ptr<const LiveGraph::Epoch> LiveGraph::LoadEpoch() const {
-  return epoch_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(epoch_mutex_);
+  return epoch_;
+}
+
+void LiveGraph::PublishEpoch(std::shared_ptr<const Epoch> epoch) {
+  // The swap hands the old epoch back in `epoch`, which is released after
+  // the lock, so a last reference never frees an epoch under it.
+  std::lock_guard<std::mutex> lock(epoch_mutex_);
+  epoch_.swap(epoch);
 }
 
 LiveSnapshot LiveGraph::Snapshot() const {
@@ -434,7 +442,7 @@ Result<CompactionStats> LiveGraph::Compact(const std::string& path,
     old_epoch->sealed_version.store(applied_.load(std::memory_order_relaxed),
                                     std::memory_order_release);
     writer_epoch_ = fresh;
-    epoch_.store(std::shared_ptr<const Epoch>(fresh));
+    PublishEpoch(fresh);
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
   last_compaction_ns_.store(SteadyNowNs(), std::memory_order_relaxed);

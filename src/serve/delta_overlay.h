@@ -25,9 +25,9 @@
 //     therefore see either the old row or the new row, both internally
 //     consistent — never a row mid-edit. Retired rows go to the epoch's
 //     graveyard and are freed when the epoch dies.
-//   * Snapshots pin the epoch through a shared_ptr loaded from an
-//     atomic; they never take the writer mutex. Readers never block on
-//     writers and vice versa.
+//   * Snapshots pin the epoch by copying a shared_ptr under a mutex held
+//     only for that copy; they never take the writer mutex. Readers never
+//     block on writers and vice versa.
 //   * Compact() streams the merged (base + overlay @ current version)
 //     edge set through graph::WriteStreamedV2 into a fresh ENG2 file,
 //     maps it back, and atomically swaps in a new epoch. Mutations that
@@ -233,7 +233,7 @@ class LiveGraph {
   /// journaled.
   Result<ApplyOutcome> Apply(const Mutation& m);
 
-  /// Current-version snapshot. Thread-safe, lock-free, O(1).
+  /// Current-version snapshot. Thread-safe, O(1); never waits on Apply.
   LiveSnapshot Snapshot() const;
 
   /// Snapshot pinned at `version`. FailedPrecondition when the version
@@ -310,14 +310,19 @@ class LiveGraph {
                    graph::NodeId v) const;
 
   std::shared_ptr<const Epoch> LoadEpoch() const;
+  void PublishEpoch(std::shared_ptr<const Epoch> epoch);
 
   graph::NodeId num_nodes_ = 0;
   LiveGraphOptions options_;
   uint64_t recovered_ = 0;
 
-  /// The live epoch. Swapped by Compact under apply_mutex_; loaded
-  /// lock-free by snapshot capture.
-  std::atomic<std::shared_ptr<const Epoch>> epoch_;
+  /// The live epoch. Swapped by Compact under apply_mutex_; snapshot
+  /// capture copies it under epoch_mutex_, held only for the pointer copy.
+  /// (libstdc++ 12's std::atomic<std::shared_ptr> load drops its internal
+  /// lock with a relaxed store, which ThreadSanitizer reports as a race
+  /// against the swap.)
+  mutable std::mutex epoch_mutex_;
+  std::shared_ptr<const Epoch> epoch_;
   /// The same epoch, mutable — the single writer's view. Accessed only
   /// under apply_mutex_ (readers go through epoch_).
   std::shared_ptr<Epoch> writer_epoch_;

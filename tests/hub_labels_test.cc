@@ -3,10 +3,13 @@
 // contract — the label arrays must satisfy the structural invariants
 // ValidateHubLabels enforces on load, and the construction budget must
 // abort cleanly (empty result, never a partial one) on graphs where
-// labels would grow superlinearly.
+// labels would grow superlinearly. The build must also reproduce, array
+// for array, a plain sequential reference at any thread count.
 
 #include "graph/hub_labels.h"
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "graph/builder.h"
 #include "graph/frontier.h"
 #include "graph/traversal.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace elitenet {
@@ -60,6 +64,99 @@ void ExpectOracleMatchesBfs(const DiGraph& g, const std::string& what) {
           << what << ": dist(" << s << ", " << t << ")";
     }
   }
+}
+
+// The textbook construction: one root at a time in degree order, forward
+// BFS then backward BFS, level by level, with an explicit infinity test in
+// the prune probe. Arrays are indexed by original id, as BuildHubLabels'.
+struct ReferenceLabels {
+  std::vector<EdgeIdx> out_offsets, in_offsets;
+  std::vector<HubLabelEntry> out_entries, in_entries;
+};
+
+ReferenceLabels SequentialReference(const DiGraph& g) {
+  const NodeId n = g.num_nodes();
+  const DegreeRelabeling rel = g.RelabelByDegree();
+  std::vector<std::vector<HubLabelEntry>> out_rows(n), in_rows(n);
+  std::vector<uint32_t> root_dist(n, kInfiniteDistance);
+  ScratchArena arena(n);
+  auto pruned_bfs = [&](NodeId r, bool forward,
+                        std::vector<std::vector<HubLabelEntry>>& rows,
+                        const std::vector<HubLabelEntry>& opposite) {
+    for (HubLabelEntry e : opposite) {
+      root_dist[HubLabelRank(e)] = HubLabelDist(e);
+    }
+    arena.BeginEpoch();
+    arena.Visit(r, 0, r);
+    rows[r].push_back(PackHubLabel(r, 0));
+    std::vector<NodeId> frontier = {r};
+    for (uint32_t depth = 1; !frontier.empty(); ++depth) {
+      std::vector<NodeId> level;
+      for (NodeId u : frontier) {
+        for (NodeId v : forward ? rel.graph.OutNeighbors(u)
+                                : rel.graph.InNeighbors(u)) {
+          if (!arena.Visited(v)) {
+            arena.Visit(v, depth, v);
+            level.push_back(v);
+          }
+        }
+      }
+      frontier.clear();
+      for (NodeId v : level) {
+        bool pruned = false;
+        for (HubLabelEntry e : rows[v]) {
+          const uint32_t rd = root_dist[HubLabelRank(e)];
+          if (rd == kInfiniteDistance) continue;
+          if (uint64_t{rd} + HubLabelDist(e) <= depth) pruned = true;
+        }
+        if (pruned) continue;
+        rows[v].push_back(PackHubLabel(r, depth));
+        frontier.push_back(v);
+      }
+    }
+    for (HubLabelEntry e : opposite) {
+      root_dist[HubLabelRank(e)] = kInfiniteDistance;
+    }
+  };
+  for (NodeId r = 0; r < n; ++r) {
+    pruned_bfs(r, /*forward=*/true, in_rows, out_rows[r]);
+    pruned_bfs(r, /*forward=*/false, out_rows, in_rows[r]);
+  }
+  ReferenceLabels ref;
+  ref.out_offsets.push_back(0);
+  ref.in_offsets.push_back(0);
+  for (NodeId o = 0; o < n; ++o) {
+    const auto& out = out_rows[rel.old_to_new[o]];
+    const auto& in = in_rows[rel.old_to_new[o]];
+    ref.out_entries.insert(ref.out_entries.end(), out.begin(), out.end());
+    ref.in_entries.insert(ref.in_entries.end(), in.begin(), in.end());
+    ref.out_offsets.push_back(ref.out_entries.size());
+    ref.in_offsets.push_back(ref.in_entries.size());
+  }
+  return ref;
+}
+
+void ExpectSameArrays(const HubLabels& got, const ReferenceLabels& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.out_offsets(), want.out_offsets) << what;
+  EXPECT_EQ(got.out_entries(), want.out_entries) << what;
+  EXPECT_EQ(got.in_offsets(), want.in_offsets) << what;
+  EXPECT_EQ(got.in_entries(), want.in_entries) << what;
+}
+
+// Threads of this process, counted from the kernel's task list.
+size_t LiveThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+DiGraph Chain(NodeId len) {
+  GraphBuilder b(len);
+  for (NodeId u = 0; u + 1 < len; ++u) EXPECT_TRUE(b.AddEdge(u, u + 1).ok());
+  auto g = b.Build();
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
 }
 
 TEST(HubLabelsTest, EmptyGraphBuildsEmptyOracle) {
@@ -169,6 +266,52 @@ TEST(HubLabelsTest, BudgetAbortReturnsEmptyNotPartial) {
   EXPECT_TRUE(labels.in_entries().empty());
   // "Not built" is a valid persisted state.
   EXPECT_TRUE(ValidateHubLabels(labels, g.num_nodes()).ok());
+}
+
+TEST(HubLabelsTest, MatchesSequentialReferenceAtAnyThreadCount) {
+  std::vector<std::pair<std::string, DiGraph>> graphs;
+  for (const double p : {0.02, 0.08, 0.25}) {
+    for (const uint64_t seed : {1u, 7u, 99u}) {
+      graphs.emplace_back(
+          "p=" + std::to_string(p) + " seed=" + std::to_string(seed),
+          RandomDigraph(60, p, seed));
+    }
+  }
+  // The smallest scale the generator's default density supports.
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 4000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  graphs.emplace_back("generated 4000 users", std::move(net->graph));
+
+  for (const auto& [what, g] : graphs) {
+    const ReferenceLabels want = SequentialReference(g);
+    for (const int threads : {1, 2, 4}) {
+      util::SetThreadCount(threads);
+      ExpectSameArrays(BuildHubLabels(g), want,
+                       what + " threads=" + std::to_string(threads));
+    }
+  }
+  util::SetThreadCount(0);
+}
+
+TEST(HubLabelsTest, BudgetAbortWithPartnerThreadLeavesNoThreadBehind) {
+  // A directed chain defeats pruning: labels grow quadratically.
+  const DiGraph chain = Chain(2000);
+  HubLabelOptions tight;
+  tight.max_avg_label_entries = 8;
+  util::SetThreadCount(4);
+  // Spawn the 4-thread pool first, so only the build's own threads count.
+  util::ParallelFor(0, 64, 1, [](size_t, size_t) {});
+  const size_t before = LiveThreads();
+  EXPECT_TRUE(BuildHubLabels(chain, tight).empty());
+  EXPECT_EQ(LiveThreads(), before);
+
+  // The next build, on the same pool, is complete and exact.
+  const DiGraph g = RandomDigraph(60, 0.08, 7);
+  ExpectSameArrays(BuildHubLabels(g), SequentialReference(g), "after abort");
+  EXPECT_EQ(LiveThreads(), before);
+  util::SetThreadCount(0);
 }
 
 TEST(HubLabelsTest, ValidateRejectsStructuralDamage) {
