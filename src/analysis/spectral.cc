@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace elitenet {
@@ -11,6 +13,62 @@ namespace analysis {
 
 using graph::DiGraph;
 using graph::NodeId;
+
+namespace {
+
+// Basis rows per h = Qᵀw task, and vector elements per w -= Q·h task.
+// Neither affects results: each h[r] is one whole-row Dot, and each w[i]
+// subtracts the rows in ascending order whatever chunk it falls in.
+constexpr size_t kRowGrain = 4;
+constexpr size_t kElementGrain = 512;
+
+// The one dot kernel: every inner product and norm in this file goes
+// through it. Eight independent accumulators break the add-latency chain
+// and let the compiler vectorize; they combine in a fixed tree, so the
+// summation order depends only on n.
+double Dot(const double* a, const double* b, size_t n) {
+  constexpr size_t kLanes = 8;
+  double acc[kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) acc[l] += a[i + l] * b[i + l];
+  }
+  for (size_t l = 0; i < n; ++i, ++l) acc[l] += a[i] * b[i];
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+// One pass of blocked classical Gram-Schmidt: w -= Q (Qᵀ w), where Q is
+// `rows` contiguous basis rows of length n. h = Qᵀw runs in parallel over
+// rows into h[0, rows); the subtraction runs in parallel over element
+// chunks, each element taking the rows in ascending order (four per sweep).
+void ProjectOut(const double* q, size_t rows, size_t n, double* w,
+                double* h) {
+  util::ParallelFor(0, rows, kRowGrain, [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) h[r] = Dot(q + r * n, w, n);
+  });
+  util::ParallelFor(0, n, kElementGrain, [&](size_t lo, size_t hi) {
+    size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+      const double* q0 = q + r * n;
+      const double* q1 = q0 + n;
+      const double* q2 = q1 + n;
+      const double* q3 = q2 + n;
+      const double h0 = h[r], h1 = h[r + 1], h2 = h[r + 2], h3 = h[r + 3];
+      for (size_t i = lo; i < hi; ++i) {
+        w[i] = (((w[i] - h0 * q0[i]) - h1 * q1[i]) - h2 * q2[i]) -
+               h3 * q3[i];
+      }
+    }
+    for (; r < rows; ++r) {
+      const double* qr = q + r * n;
+      const double hr = h[r];
+      for (size_t i = lo; i < hi; ++i) w[i] -= hr * qr[i];
+    }
+  });
+}
+
+}  // namespace
 
 LaplacianOperator::LaplacianOperator(const DiGraph& g) : g_(g) {
   const NodeId n = g.num_nodes();
@@ -61,20 +119,22 @@ LaplacianOperator::LaplacianOperator(const DiGraph& g) : g_(g) {
   }
 }
 
-void LaplacianOperator::Apply(const std::vector<double>& x,
+void LaplacianOperator::Apply(std::span<const double> x,
                               std::vector<double>* y) const {
   const NodeId n = dimension();
   EN_CHECK(x.size() == n);
   EN_CHECK(y->size() == n);
-  for (NodeId u = 0; u < n; ++u) {
-    double acc = degree_[u] * x[u];
-    for (NodeId v : g_.OutNeighbors(u)) acc -= x[v];
-    for (NodeId v : g_.InNeighbors(u)) acc -= x[v];
-    for (uint64_t e = recip_offsets_[u]; e < recip_offsets_[u + 1]; ++e) {
-      acc += x[recip_targets_[e]];  // undo the double subtraction
+  util::ParallelFor(0, n, 0, [&](size_t lo, size_t hi) {
+    for (size_t u = lo; u < hi; ++u) {
+      double acc = degree_[u] * x[u];
+      for (NodeId v : g_.OutNeighbors(u)) acc -= x[v];
+      for (NodeId v : g_.InNeighbors(u)) acc -= x[v];
+      for (uint64_t e = recip_offsets_[u]; e < recip_offsets_[u + 1]; ++e) {
+        acc += x[recip_targets_[e]];  // undo the double subtraction
+      }
+      (*y)[u] = acc;
     }
-    (*y)[u] = acc;
-  }
+  });
 }
 
 Result<std::vector<double>> SymmetricTridiagonalEigenvalues(
@@ -148,46 +208,40 @@ Result<LanczosResult> TopLaplacianEigenvalues(const DiGraph& g,
   m = std::min<uint32_t>(m, n);
   m = std::max<uint32_t>(m, std::min<uint32_t>(options.k, n));
 
-  util::Rng rng(options.seed);
-  std::vector<std::vector<double>> basis;  // Lanczos vectors v_1..v_j
-  basis.reserve(m);
+  // Lanczos vectors v_1..v_j as rows of one m x n row-major buffer.
+  std::vector<double> basis;
+  basis.reserve(static_cast<size_t>(m) * n);
   std::vector<double> alpha, beta;  // T diagonal / off-diagonal
+  std::vector<double> h(m);         // Qᵀw scratch
 
   // Initial random unit vector.
-  std::vector<double> v(n), w(n);
-  double norm = 0.0;
-  for (double& x : v) {
-    x = rng.Normal();
-  }
-  for (double x : v) norm += x * x;
-  norm = std::sqrt(norm);
-  for (double& x : v) x /= norm;
-  basis.push_back(v);
+  util::Rng rng(options.seed);
+  std::vector<double> w(n);
+  for (double& x : w) x = rng.Normal();
+  double norm = std::sqrt(Dot(w.data(), w.data(), n));
+  for (double& x : w) x /= norm;
+  basis.insert(basis.end(), w.begin(), w.end());
 
   for (uint32_t j = 0; j < m; ++j) {
-    op.Apply(basis[j], &w);
-    double a = 0.0;
-    for (NodeId i = 0; i < n; ++i) a += w[i] * basis[j][i];
+    const double* vj = basis.data() + static_cast<size_t>(j) * n;
+    op.Apply({vj, n}, &w);
+    const double a = Dot(w.data(), vj, n);
     alpha.push_back(a);
 
     // w -= a * v_j + beta_{j-1} * v_{j-1}
-    for (NodeId i = 0; i < n; ++i) w[i] -= a * basis[j][i];
+    for (NodeId i = 0; i < n; ++i) w[i] -= a * vj[i];
     if (j > 0) {
       const double b = beta[j - 1];
-      for (NodeId i = 0; i < n; ++i) w[i] -= b * basis[j - 1][i];
+      const double* vp = vj - n;
+      for (NodeId i = 0; i < n; ++i) w[i] -= b * vp[i];
     }
-    // Full reorthogonalization (two passes of classical Gram-Schmidt).
+    // Full reorthogonalization against v_1..v_j: two passes of blocked
+    // classical Gram-Schmidt (CGS2, the DGKS-style scheme ARPACK uses).
     for (int pass = 0; pass < 2; ++pass) {
-      for (const std::vector<double>& q : basis) {
-        double dot = 0.0;
-        for (NodeId i = 0; i < n; ++i) dot += w[i] * q[i];
-        for (NodeId i = 0; i < n; ++i) w[i] -= dot * q[i];
-      }
+      ProjectOut(basis.data(), j + 1, n, w.data(), h.data());
     }
 
-    double b = 0.0;
-    for (double x : w) b += x * x;
-    b = std::sqrt(b);
+    const double b = std::sqrt(Dot(w.data(), w.data(), n));
     if (j + 1 == m) break;  // T is complete
     if (b < 1e-12) {
       // Invariant subspace found: the Krylov space is exhausted. The
@@ -196,7 +250,7 @@ Result<LanczosResult> TopLaplacianEigenvalues(const DiGraph& g,
     }
     beta.push_back(b);
     for (double& x : w) x /= b;
-    basis.push_back(w);
+    basis.insert(basis.end(), w.begin(), w.end());
   }
 
   EN_ASSIGN_OR_RETURN(std::vector<double> evals,
@@ -225,12 +279,9 @@ Result<double> PowerIterationLargest(const LaplacianOperator& op,
   double lambda = 0.0;
   for (int it = 0; it < max_iterations; ++it) {
     op.Apply(v, &w);
-    double norm = 0.0;
-    for (double x : w) norm += x * x;
-    norm = std::sqrt(norm);
+    const double norm = std::sqrt(Dot(w.data(), w.data(), n));
     if (norm == 0.0) return 0.0;  // zero operator (edgeless graph)
-    double rayleigh = 0.0;
-    for (uint32_t i = 0; i < n; ++i) rayleigh += w[i] * v[i];
+    const double rayleigh = Dot(w.data(), v.data(), n);
     for (uint32_t i = 0; i < n; ++i) v[i] = w[i] / norm;
     if (std::fabs(rayleigh - lambda) <=
         tolerance * std::max(1.0, std::fabs(rayleigh))) {

@@ -14,6 +14,7 @@
 #include "analysis/distance.h"
 #include "analysis/hits.h"
 #include "analysis/kcore.h"
+#include "analysis/spectral.h"
 #include "gen/verified_network.h"
 #include "graph/frontier.h"
 #include "graph/hub_labels.h"
@@ -180,6 +181,25 @@ TEST_F(ParallelDeterminismTest, Clustering) {
         analysis::ComputeClusteringSampled(g, 500, &srng);
     EXPECT_EQ(sampled.average_local, base_sampled.average_local) << threads;
     EXPECT_EQ(sampled.nodes_evaluated, base_sampled.nodes_evaluated);
+  }
+}
+
+// Lanczos reorthogonalizes in parallel over basis rows and element
+// chunks; the fixed-order dot kernel keeps the Ritz values bit-identical.
+TEST_F(ParallelDeterminismTest, Lanczos) {
+  const graph::DiGraph& g = Network().graph;
+  analysis::LanczosOptions opts;
+  opts.k = 100;
+  util::SetThreadCount(1);
+  const auto base = analysis::TopLaplacianEigenvalues(g, opts);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ(base->eigenvalues.size(), opts.k);
+  for (int threads : {2, 3, 4, 8}) {
+    util::SetThreadCount(threads);
+    const auto r = analysis::TopLaplacianEigenvalues(g, opts);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->iterations, base->iterations) << threads;
+    EXPECT_EQ(r->eigenvalues, base->eigenvalues) << threads;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
+#include "gen/verified_network.h"
 #include "graph/builder.h"
 #include "util/rng.h"
 
@@ -95,6 +96,108 @@ TEST(LaplacianOperatorTest, QuadraticFormIsEdgeDifferenceSum) {
   for (int i = 0; i < 4; ++i) quad += x[i] * lx[i];
   // Undirected edges: (0,1), (1,2), (2,3): 1 + 4 + 9 = 14.
   EXPECT_NEAR(quad, 14.0, 1e-12);
+}
+
+// Serial reference: Lanczos with full reorthogonalization by modified
+// Gram-Schmidt, one dependent dot-and-subtract per basis vector and a
+// single accumulator per dot (the algorithm before the blocked CGS2
+// rewrite). Returns the top-k values, descending, and the step count.
+std::pair<std::vector<double>, uint32_t> ReferenceLanczos(
+    const DiGraph& g, const LanczosOptions& options) {
+  const NodeId n = g.num_nodes();
+  const LaplacianOperator op(g);
+  uint32_t m = options.subspace != 0 ? options.subspace : options.k + 40;
+  m = std::max<uint32_t>(std::min<uint32_t>(m, n),
+                         std::min<uint32_t>(options.k, n));
+  util::Rng rng(options.seed);
+  std::vector<std::vector<double>> basis;
+  std::vector<double> alpha, beta, v(n), w(n);
+  double norm = 0.0;
+  for (double& x : v) x = rng.Normal();
+  for (double x : v) norm += x * x;
+  for (double& x : v) x /= std::sqrt(norm);
+  basis.push_back(v);
+  for (uint32_t j = 0; j < m; ++j) {
+    op.Apply(basis[j], &w);
+    double a = 0.0;
+    for (NodeId i = 0; i < n; ++i) a += w[i] * basis[j][i];
+    alpha.push_back(a);
+    for (NodeId i = 0; i < n; ++i) w[i] -= a * basis[j][i];
+    if (j > 0) {
+      for (NodeId i = 0; i < n; ++i) w[i] -= beta[j - 1] * basis[j - 1][i];
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::vector<double>& q : basis) {
+        double dot = 0.0;
+        for (NodeId i = 0; i < n; ++i) dot += w[i] * q[i];
+        for (NodeId i = 0; i < n; ++i) w[i] -= dot * q[i];
+      }
+    }
+    double b = 0.0;
+    for (double x : w) b += x * x;
+    b = std::sqrt(b);
+    if (j + 1 == m || b < 1e-12) break;
+    beta.push_back(b);
+    for (double& x : w) x /= b;
+    basis.push_back(w);
+  }
+  auto evals = SymmetricTridiagonalEigenvalues(alpha, beta);
+  EXPECT_TRUE(evals.ok());
+  std::vector<double> top(evals->rbegin(), evals->rend());
+  for (double& ev : top) {
+    if (ev < 0.0 && ev > -1e-9) ev = 0.0;
+  }
+  top.resize(std::min<size_t>(options.k, top.size()));
+  return {top, static_cast<uint32_t>(alpha.size())};
+}
+
+// The blocked CGS2 reorthogonalization sums in a different order than the
+// reference, so values are not bit-equal. The leading Ritz values have
+// converged and must agree to round-off; the interior ones are
+// approximations of the same Krylov space and agree more loosely.
+TEST(LanczosTest, AgreesWithSerialReferenceOnVerifiedNetwork) {
+  gen::VerifiedNetworkConfig cfg;
+  cfg.num_users = 4000;
+  auto net = gen::GenerateVerifiedNetwork(cfg);
+  ASSERT_TRUE(net.ok());
+  LanczosOptions opts;
+  opts.k = 100;
+  auto r = TopLaplacianEigenvalues(net->graph, opts);
+  ASSERT_TRUE(r.ok());
+  const auto [ref, ref_iterations] = ReferenceLanczos(net->graph, opts);
+  EXPECT_EQ(r->iterations, ref_iterations);
+  ASSERT_EQ(r->eigenvalues.size(), ref.size());
+  ASSERT_EQ(ref.size(), opts.k);
+  const size_t top = (opts.k + 2) / 3;
+  for (size_t i = 0; i < ref.size(); ++i) {
+    const double tol = (i < top ? 1e-10 : 1e-3) * ref[i];
+    EXPECT_NEAR(r->eigenvalues[i], ref[i], tol) << "i=" << i;
+  }
+}
+
+// A star K_{1,19} has three distinct Laplacian eigenvalues {0, 1, 20}, so
+// the Krylov space is exhausted after three steps, well before m = 20,
+// and both implementations take the early stop.
+TEST(LanczosTest, KrylovExhaustionStopsEarlyLikeReference) {
+  const NodeId n = 20;
+  GraphBuilder b(n);
+  for (NodeId v = 1; v < n; ++v) ASSERT_TRUE(b.AddEdge(0, v).ok());
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  LanczosOptions opts;
+  opts.k = 10;
+  auto r = TopLaplacianEigenvalues(*g, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->iterations, 3u);
+  const auto [ref, ref_iterations] = ReferenceLanczos(*g, opts);
+  EXPECT_EQ(ref_iterations, 3u);
+  ASSERT_EQ(r->eigenvalues.size(), 3u);
+  ASSERT_EQ(ref.size(), 3u);
+  const std::vector<double> exact{20.0, 1.0, 0.0};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(r->eigenvalues[i], exact[i], 1e-9) << "i=" << i;
+    EXPECT_NEAR(r->eigenvalues[i], ref[i], 1e-9) << "i=" << i;
+  }
 }
 
 TEST(LanczosTest, CompleteGraphSpectrum) {
