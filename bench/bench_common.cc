@@ -105,6 +105,11 @@ void WriteEnvironmentJson(std::FILE* f) {
 
 uint64_t PeakRssBytes() { return util::PeakRssBytes(); }
 
+void LatencySketch::AddSeconds(double seconds) {
+  const double ns = std::max(0.0, seconds) * 1e9;
+  ns_->Observe(static_cast<uint64_t>(std::llround(ns)));
+}
+
 uint64_t FnvMix(uint64_t h, uint64_t x) {
   h ^= x;
   return h * 0x100000001b3ULL;

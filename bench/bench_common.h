@@ -7,12 +7,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/study.h"
 #include "graph/digraph.h"
 #include "serve/request.h"
+#include "util/metrics.h"
 
 namespace elitenet {
 namespace bench {
@@ -82,6 +84,24 @@ uint64_t FnvString(const std::string& s);
 std::vector<serve::Request> MakeServeRequestMix(const graph::DiGraph& g,
                                                 size_t count, double zipf_s,
                                                 uint64_t seed);
+
+/// A bench latency distribution read through util::QuantileSketch, the
+/// estimator the server's #stats and Prometheus output use, so a bench
+/// p99 and a live p99 are the same number. Samples are kept in
+/// nanoseconds, so sub-microsecond latencies keep their resolution;
+/// quantiles come back in microseconds. Movable (the sketch is heap-held)
+/// so result structs holding one can be returned by value.
+class LatencySketch {
+ public:
+  void AddSeconds(double seconds);
+  uint64_t count() const { return ns_->count(); }
+  /// Latency at quantile q in [0, 1], in microseconds; 0 when empty.
+  double QuantileUs(double q) const { return ns_->Quantile(q) / 1e3; }
+
+ private:
+  std::unique_ptr<util::QuantileSketch> ns_ =
+      std::make_unique<util::QuantileSketch>();
+};
 
 /// Relative deviation |measured - paper| / |paper|.
 double RelDev(double measured, double paper);

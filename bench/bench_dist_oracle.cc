@@ -29,8 +29,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -50,24 +48,16 @@ namespace elitenet {
 namespace bench {
 namespace {
 
-double Percentile(std::vector<double> micros, double q) {
-  if (micros.empty()) return 0.0;
-  std::sort(micros.begin(), micros.end());
-  const size_t idx =
-      static_cast<size_t>(std::ceil(q * static_cast<double>(micros.size())));
-  return micros[std::min(micros.size() - 1, idx == 0 ? 0 : idx - 1)];
-}
-
 struct LatencySummary {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  size_t count = 0;
+  unsigned long long count = 0;
 };
 
-LatencySummary Summarize(const std::vector<double>& micros) {
-  return {Percentile(micros, 0.50), Percentile(micros, 0.95),
-          Percentile(micros, 0.99), micros.size()};
+LatencySummary Summarize(const LatencySketch& lat) {
+  return {lat.QuantileUs(0.50), lat.QuantileUs(0.95), lat.QuantileUs(0.99),
+          lat.count()};
 }
 
 // A scratch file path, removed (errors ignored) when constructed, so no
@@ -239,35 +229,32 @@ int main(int argc, char** argv) {
 
   // Latency sweeps at the default deadline. The oracle must never
   // degrade; the fallback's degraded count is the contrast figure.
-  std::vector<double> oracle_us, bfs_us, topk_us;
-  oracle_us.reserve(num_pairs);
-  bfs_us.reserve(num_pairs);
+  bench::LatencySketch oracle_sketch, bfs_sketch, topk_sketch;
   uint64_t oracle_degraded = 0, bfs_degraded = 0;
   for (size_t i = 0; i < num_pairs; ++i) {
     const serve::Request r = bench::DistRequest(srcs[i], dsts[i], deadline_us);
     util::SpanTimer t1;
     const serve::QueryResponse a = (*oracle_engine)->Execute(r);
-    oracle_us.push_back(t1.Seconds() * 1e6);
+    oracle_sketch.AddSeconds(t1.Seconds());
     if (a.degraded) ++oracle_degraded;
     util::SpanTimer t2;
     const serve::QueryResponse b = (*bfs_engine)->Execute(r);
-    bfs_us.push_back(t2.Seconds() * 1e6);
+    bfs_sketch.AddSeconds(t2.Seconds());
     if (b.degraded) ++bfs_degraded;
   }
   const uint32_t ks[] = {10, 20, 50, 100};
-  topk_us.reserve(num_pairs);
   for (size_t i = 0; i < num_pairs; ++i) {
     serve::Request r;
     r.type = serve::RequestType::kTopKRank;
     r.k = ks[i % 4];
     util::SpanTimer t;
     (*oracle_engine)->Execute(r);
-    topk_us.push_back(t.Seconds() * 1e6);
+    topk_sketch.AddSeconds(t.Seconds());
   }
 
-  const bench::LatencySummary oracle_lat = bench::Summarize(oracle_us);
-  const bench::LatencySummary bfs_lat = bench::Summarize(bfs_us);
-  const bench::LatencySummary topk_lat = bench::Summarize(topk_us);
+  const bench::LatencySummary oracle_lat = bench::Summarize(oracle_sketch);
+  const bench::LatencySummary bfs_lat = bench::Summarize(bfs_sketch);
+  const bench::LatencySummary topk_lat = bench::Summarize(topk_sketch);
   const double p99_ratio =
       topk_lat.p99 > 0.0 ? oracle_lat.p99 / topk_lat.p99 : 0.0;
   const bool zero_degraded = oracle_degraded == 0;
@@ -318,18 +305,18 @@ int main(int argc, char** argv) {
                stats.max_out_entries, stats.max_in_entries,
                static_cast<unsigned long long>(stats.bytes));
   std::fprintf(f,
-               "  \"dist_oracle_us\": {\"count\": %zu, \"p50\": %.2f, "
+               "  \"dist_oracle_us\": {\"count\": %llu, \"p50\": %.2f, "
                "\"p95\": %.2f, \"p99\": %.2f, \"degraded\": %llu},\n",
                oracle_lat.count, oracle_lat.p50, oracle_lat.p95,
                oracle_lat.p99,
                static_cast<unsigned long long>(oracle_degraded));
   std::fprintf(f,
-               "  \"dist_bfs_us\": {\"count\": %zu, \"p50\": %.2f, "
+               "  \"dist_bfs_us\": {\"count\": %llu, \"p50\": %.2f, "
                "\"p95\": %.2f, \"p99\": %.2f, \"degraded\": %llu},\n",
                bfs_lat.count, bfs_lat.p50, bfs_lat.p95, bfs_lat.p99,
                static_cast<unsigned long long>(bfs_degraded));
   std::fprintf(f,
-               "  \"topk_us\": {\"count\": %zu, \"p50\": %.2f, "
+               "  \"topk_us\": {\"count\": %llu, \"p50\": %.2f, "
                "\"p95\": %.2f, \"p99\": %.2f},\n",
                topk_lat.count, topk_lat.p50, topk_lat.p95, topk_lat.p99);
   std::fprintf(f, "  \"p99_ratio_vs_topk\": %.3f,\n", p99_ratio);

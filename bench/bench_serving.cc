@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -60,19 +59,6 @@ constexpr size_t kNumTypes = 5;  // matches serve::RequestType values
 // FnvMix / FnvString / the zipf request-mix builder live in bench_common
 // so the observability serving bench replays the identical workload.
 
-struct TypeLatencies {
-  std::vector<double> micros;
-
-  double Percentile(double q) const {
-    if (micros.empty()) return 0.0;
-    std::vector<double> sorted = micros;
-    std::sort(sorted.begin(), sorted.end());
-    const size_t idx = static_cast<size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    return sorted[std::min(sorted.size() - 1, idx == 0 ? 0 : idx - 1)];
-  }
-};
-
 struct RunResult {
   int threads = 0;
   int shards = 0;  ///< 0 = unsharded QueryEngine; N = router shard count.
@@ -83,7 +69,7 @@ struct RunResult {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t degraded = 0;
-  TypeLatencies latency[kNumTypes];
+  LatencySketch latency[kNumTypes];
 };
 
 // Replays `mix` closed-loop against any server exposing Submit():
@@ -111,11 +97,10 @@ RunResult ReplayClosedLoop(Server* server,
 
   auto reap = [&](InFlight& f) {
     const serve::QueryResponse resp = f.future.get();
-    const double us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - f.submitted)
-            .count();
-    out.latency[static_cast<size_t>(mix[f.index].type)].micros.push_back(us);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - f.submitted)
+                               .count();
+    out.latency[static_cast<size_t>(mix[f.index].type)].AddSeconds(seconds);
     if (resp.degraded) ++out.degraded;
     hashes[f.index] = FnvString(resp.json);
   };
@@ -246,22 +231,18 @@ OverloadResult RunOverload(const graph::DiGraph& g,
   // interactive request overtakes the entire batch backlog and waits at
   // most for the tasks already in service.
   auto interactive_p99 = [&]() {
-    std::vector<double> lat;
-    lat.reserve(interactive.size());
+    LatencySketch lat;
     for (const serve::Request& r : interactive) {
       util::SpanTimer t;
       const serve::QueryResponse resp = router->Submit(r).get();
-      lat.push_back(t.Seconds() * 1e6);
+      lat.AddSeconds(t.Seconds());
       if (!resp.ok) {
         std::fprintf(stderr, "interactive request failed under load: %s\n",
                      resp.json.c_str());
         std::exit(1);
       }
     }
-    std::sort(lat.begin(), lat.end());
-    return lat[std::min(lat.size() - 1,
-                        static_cast<size_t>(static_cast<double>(lat.size()) *
-                                            0.99))];
+    return lat.QuantileUs(0.99);
   };
 
   out.interactive_p99_baseline_us = interactive_p99();
@@ -342,33 +323,29 @@ CacheEfficacy MeasureTopKCache(const graph::DiGraph& g, size_t samples) {
   auto timed = [&](const serve::Request& r) {
     util::SpanTimer t;
     const serve::QueryResponse resp = (*engine)->Execute(r);
-    const double us = t.Seconds() * 1e6;
+    const double seconds = t.Seconds();
     if (!resp.ok) {
       std::fprintf(stderr, "topk failed: %s\n", resp.json.c_str());
       std::exit(1);
     }
-    return us;
+    return seconds;
   };
 
-  std::vector<double> miss, hit;
+  LatencySketch miss, hit;
   for (size_t i = 0; i < samples; ++i) {
     serve::Request r;
     r.type = serve::RequestType::kTopKRank;
     r.k = k_base + static_cast<uint32_t>(i);  // distinct key: always a miss
-    miss.push_back(timed(r));
+    miss.AddSeconds(timed(r));
   }
   serve::Request hot;
   hot.type = serve::RequestType::kTopKRank;
   hot.k = k_base;
   (void)timed(hot);  // ensure resident
-  for (size_t i = 0; i < samples; ++i) hit.push_back(timed(hot));
+  for (size_t i = 0; i < samples; ++i) hit.AddSeconds(timed(hot));
 
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  out.miss_p50_us = median(std::move(miss));
-  out.hit_p50_us = median(std::move(hit));
+  out.miss_p50_us = miss.QuantileUs(0.50);
+  out.hit_p50_us = hit.QuantileUs(0.50);
   out.speedup = out.hit_p50_us > 0.0 ? out.miss_p50_us / out.hit_p50_us : 0.0;
   return out;
 }
@@ -551,13 +528,14 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r.checksum));
     std::fprintf(f, "     \"latency_us\": {");
     for (size_t t = 0; t < bench::kNumTypes; ++t) {
-      const bench::TypeLatencies& lat = r.latency[t];
+      const bench::LatencySketch& lat = r.latency[t];
       std::fprintf(f,
-                   "%s\"%s\": {\"count\": %zu, \"p50\": %.1f, "
+                   "%s\"%s\": {\"count\": %llu, \"p50\": %.1f, "
                    "\"p95\": %.1f, \"p99\": %.1f}",
                    t == 0 ? "" : ", ", bench::kTypeNames[t],
-                   lat.micros.size(), lat.Percentile(0.50),
-                   lat.Percentile(0.95), lat.Percentile(0.99));
+                   static_cast<unsigned long long>(lat.count()),
+                   lat.QuantileUs(0.50), lat.QuantileUs(0.95),
+                   lat.QuantileUs(0.99));
     }
     std::fprintf(f, "}}%s\n", last ? "" : ",");
   };

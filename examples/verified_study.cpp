@@ -15,7 +15,7 @@
 //
 // Observability: --trace=run.json writes a Chrome trace-event file (open
 // in chrome://tracing or ui.perfetto.dev), --metrics=run_metrics.json
-// dumps the counter/histogram snapshot, and --progress streams stage
+// dumps the counter/gauge/sketch snapshot, and --progress streams stage
 // names as the pipeline advances. ELITENET_TRACE / ELITENET_METRICS do
 // the same process-wide without flags.
 

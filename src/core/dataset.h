@@ -6,7 +6,7 @@
 // intended to release its crawl "once we have pursued all our inquiries").
 //
 // Layout:
-//   <dir>/graph.eng        binary CSR snapshot (graph/io.h format)
+//   <dir>/graph.eng        ENG2 snapshot (graph/io.h), mapped on load
 //   <dir>/users.bin        versioned binary: roles, popularity, profiles
 //   <dir>/bios.txt         one bio per line, in node-id order
 //   <dir>/activity.csv     date,value rows
@@ -46,7 +46,7 @@ Result<StudyDataset> LoadDataset(const std::string& dir);
 /// serve.load_micros gauges, so cold-start cost is visible to the
 /// observability layer.
 struct GraphLoadInfo {
-  /// "dataset-dir", "eng1", "eng2-mmap", or "edge-list".
+  /// "dataset-dir", "eng2-mmap", or "edge-list".
   std::string format;
   /// Size of the loaded file (for a dataset dir: its graph.eng).
   uint64_t bytes = 0;
@@ -56,13 +56,13 @@ struct GraphLoadInfo {
 /// Loads a graph from any source the tools accept, with one dispatch
 /// rule shared by `elitenet_cli` and the serving front-ends:
 ///   * a directory         -> SaveDataset layout; returns its graph,
-///   * "*.eng" / "*.eng2"  -> snapshot; the magic is sniffed, so an ENG1
-///                            file deserializes (graph/io.h LoadBinary)
-///                            and an ENG2 file is mmapped zero-copy
-///                            (MapBinary) regardless of extension,
+///   * "*.eng" / "*.eng2"  -> ENG2 snapshot, mmapped zero-copy
+///                            (graph/io.h MapBinary) under either name,
 ///   * anything else       -> SNAP-style text edge list.
 /// Corrupt inputs surface as a clean Status (Corruption/IoError) with no
-/// partial graph. `info`, when non-null, receives what was detected.
+/// partial graph; a snapshot extension never falls back to the text
+/// parser, and a snapshot in the retired pre-ENG2 format (as a file or a
+/// dataset's graph.eng) is NotSupported. `info`, when non-null, receives what was detected.
 Result<graph::DiGraph> LoadAnyGraph(const std::string& path,
                                     GraphLoadInfo* info = nullptr);
 

@@ -18,9 +18,7 @@ namespace graph {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'E', 'N', 'G', '1'};
 constexpr char kMagicV2[4] = {'E', 'N', 'G', '2'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
 constexpr uint64_t kAlignment = 64;
 constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
@@ -47,30 +45,9 @@ uint64_t ChecksumSpan(std::span<const T> v, uint64_t seed) {
   return Fnv1a(v.data(), v.size() * sizeof(T), seed);
 }
 
-template <typename T>
-Status WriteSpan(std::FILE* f, std::span<const T> v) {
-  const size_t bytes = v.size() * sizeof(T);
-  if (bytes == 0) return Status::OK();
-  if (std::fwrite(v.data(), 1, bytes, f) != bytes) {
-    return Status::IoError("short write");
-  }
-  return Status::OK();
-}
-
-template <typename T>
-Status ReadVector(std::FILE* f, size_t count, std::vector<T>* out) {
-  out->resize(count);
-  const size_t bytes = count * sizeof(T);
-  if (bytes == 0) return Status::OK();
-  if (std::fread(out->data(), 1, bytes, f) != bytes) {
-    return Status::Corruption("truncated array section");
-  }
-  return Status::OK();
-}
-
 /// The CSR invariants every loader must establish before handing memory
 /// to DiGraph: offsets monotone from 0 to m on both sides, all targets
-/// in [0, n). Shared by the heap (ENG1) and mapped (ENG2) paths.
+/// in [0, n).
 Status ValidateCsr(std::span<const EdgeIdx> out_offsets,
                    std::span<const NodeId> out_targets,
                    std::span<const EdgeIdx> in_offsets,
@@ -127,6 +104,42 @@ Status CheckLittleEndianHost() {
         "ENG2 snapshots are little-endian; this host is not");
   }
   return Status::OK();
+}
+
+Status WritePadding(std::FILE* f, uint64_t from, uint64_t to) {
+  const char zeros[kAlignment] = {};
+  while (from < to) {
+    const uint64_t chunk = std::min<uint64_t>(to - from, kAlignment);
+    if (std::fwrite(zeros, 1, chunk, f) != chunk) {
+      return Status::IoError("padding write failed");
+    }
+    from += chunk;
+  }
+  return Status::OK();
+}
+
+/// Writes `path` through `<path>.tmp` and a rename, so a reader racing
+/// the writer — or a graph still mapped from `path` itself, as when a
+/// snapshot is rewritten in place — sees the old file or the new one,
+/// never a truncated one. `write` fills the open temp file; on any
+/// failure the temp file is removed and `path` is left untouched.
+template <typename WriteFn>
+Status WriteViaTemp(const std::string& path, WriteFn&& write) {
+  const std::string tmp = path + ".tmp";
+  FilePtr f(std::fopen(tmp.c_str(), "wb"));
+  if (!f) return Status::IoError("cannot open for writing: " + tmp);
+  Status s = write(f.get());
+  if (s.ok() && std::fclose(f.release()) != 0) {
+    s = Status::IoError("close failed: " + tmp);
+  }
+  if (s.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = Status::IoError("rename failed: " + path);
+  }
+  if (!s.ok()) {
+    f.reset();
+    std::remove(tmp.c_str());
+  }
+  return s;
 }
 
 }  // namespace
@@ -194,95 +207,8 @@ Result<DiGraph> ReadEdgeListText(const std::string& path, NodeId num_nodes) {
   return builder.Build();
 }
 
-Status SaveBinary(const DiGraph& g, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-
-  const uint64_t n = g.num_nodes();
-  const uint64_t m = g.num_edges();
-  const uint64_t checksum = GraphChecksum(g);
-  const uint32_t reserved = 0;
-
-  if (std::fwrite(kMagicV1, 1, 4, f.get()) != 4 ||
-      std::fwrite(&kVersionV1, sizeof(kVersionV1), 1, f.get()) != 1 ||
-      std::fwrite(&reserved, sizeof(reserved), 1, f.get()) != 1 ||
-      std::fwrite(&n, sizeof(n), 1, f.get()) != 1 ||
-      std::fwrite(&m, sizeof(m), 1, f.get()) != 1 ||
-      std::fwrite(&checksum, sizeof(checksum), 1, f.get()) != 1) {
-    return Status::IoError("header write failed");
-  }
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.out_offsets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.out_targets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.in_offsets()));
-  EN_RETURN_IF_ERROR(WriteSpan(f.get(), g.in_targets()));
-  return Status::OK();
-}
-
-Result<DiGraph> LoadBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open for reading: " + path);
-
-  char magic[4];
-  uint32_t version = 0, reserved = 0;
-  uint64_t n = 0, m = 0, checksum = 0;
-  if (std::fread(magic, 1, 4, f.get()) != 4 ||
-      std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-      std::fread(&reserved, sizeof(reserved), 1, f.get()) != 1 ||
-      std::fread(&n, sizeof(n), 1, f.get()) != 1 ||
-      std::fread(&m, sizeof(m), 1, f.get()) != 1 ||
-      std::fread(&checksum, sizeof(checksum), 1, f.get()) != 1) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  if (std::memcmp(magic, kMagicV1, 4) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  if (version != kVersionV1) {
-    return Status::NotSupported("unsupported snapshot version " +
-                                std::to_string(version));
-  }
-  if (n > UINT32_MAX) return Status::Corruption("node count overflow");
-
-  // Validate the claimed sizes against the actual file length before any
-  // allocation: a corrupted count field must not trigger a huge resize.
-  constexpr uint64_t kHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8;
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed");
-  }
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) return Status::IoError("tell failed");
-  const uint64_t expected =
-      kHeaderBytes + 2 * (n + 1) * sizeof(EdgeIdx) + 2 * m * sizeof(NodeId);
-  if (n + 1 < n ||  // overflow guard
-      static_cast<uint64_t>(file_size) != expected) {
-    return Status::Corruption("file size disagrees with header counts");
-  }
-  if (std::fseek(f.get(), static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-    return Status::IoError("seek failed");
-  }
-
-  std::vector<EdgeIdx> out_offsets, in_offsets;
-  std::vector<NodeId> out_targets, in_targets;
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), n + 1, &out_offsets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), m, &out_targets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), n + 1, &in_offsets));
-  EN_RETURN_IF_ERROR(ReadVector(f.get(), m, &in_targets));
-
-  EN_RETURN_IF_ERROR(ValidateCsr(out_offsets, out_targets, in_offsets,
-                                 in_targets, n, m));
-
-  DiGraph g(std::move(out_offsets), std::move(out_targets),
-            std::move(in_offsets), std::move(in_targets));
-  if (GraphChecksum(g) != checksum) {
-    return Status::Corruption("checksum mismatch: " + path);
-  }
-  return g;
-}
-
 Status SaveBinaryV2(const DiGraph& g, const std::string& path) {
   EN_RETURN_IF_ERROR(CheckLittleEndianHost());
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-
   const uint64_t n = g.num_nodes();
   const uint64_t m = g.num_edges();
 
@@ -317,29 +243,24 @@ Status SaveBinaryV2(const DiGraph& g, const std::string& path) {
     offset = AlignUp(offset + sections[i].length);
   }
 
-  if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
-      std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f.get()) !=
-          kNumSections) {
-    return Status::IoError("header write failed: " + path);
-  }
-  uint64_t written = sizeof(header) + kNumSections * sizeof(SectionEntryV2);
-  const char zeros[kAlignment] = {};
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    const uint64_t pad = table[i].offset - written;
-    if (pad > 0 && std::fwrite(zeros, 1, pad, f.get()) != pad) {
-      return Status::IoError("padding write failed: " + path);
+  return WriteViaTemp(path, [&](std::FILE* f) -> Status {
+    if (std::fwrite(&header, sizeof(header), 1, f) != 1 ||
+        std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f) !=
+            kNumSections) {
+      return Status::IoError("header write failed: " + path);
     }
-    if (sections[i].length > 0 &&
-        std::fwrite(sections[i].data, 1, sections[i].length, f.get()) !=
-            sections[i].length) {
-      return Status::IoError("section write failed: " + path);
+    uint64_t written = sizeof(header) + kNumSections * sizeof(SectionEntryV2);
+    for (uint32_t i = 0; i < kNumSections; ++i) {
+      EN_RETURN_IF_ERROR(WritePadding(f, written, table[i].offset));
+      if (sections[i].length > 0 &&
+          std::fwrite(sections[i].data, 1, sections[i].length, f) !=
+              sections[i].length) {
+        return Status::IoError("section write failed: " + path);
+      }
+      written = table[i].offset + sections[i].length;
     }
-    written = table[i].offset + sections[i].length;
-  }
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError("flush failed: " + path);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<DiGraph> MapBinary(const std::string& path) {
@@ -348,14 +269,21 @@ Result<DiGraph> MapBinary(const std::string& path) {
   const uint8_t* base = mapped.data();
   const uint64_t size = mapped.size();
 
+  if (size < sizeof(kMagicV2) || std::memcmp(base, kMagicV2, 4) != 0) {
+    // A snapshot in the retired pre-ENG2 format is a file this build
+    // cannot read, not a damaged one: say how to get an ENG2 file instead.
+    if (size >= 4 && std::memcmp(base, "ENG1", 4) == 0) {
+      return Status::NotSupported(
+          "ENG1 snapshots are no longer readable; re-create the file from "
+          "an edge list (elitenet_cli convert <edges> <out>.eng2): " + path);
+    }
+    return Status::Corruption("bad magic: " + path);
+  }
   if (size < sizeof(SnapshotHeaderV2)) {
     return Status::Corruption("truncated header: " + path);
   }
   SnapshotHeaderV2 header;
   std::memcpy(&header, base, sizeof(header));
-  if (std::memcmp(header.magic, kMagicV2, 4) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
   if (header.version != kVersionV2) {
     return Status::NotSupported("unsupported ENG2 snapshot version " +
                                 std::to_string(header.version));
@@ -363,6 +291,9 @@ Result<DiGraph> MapBinary(const std::string& path) {
   const uint64_t n = header.num_nodes;
   const uint64_t m = header.num_edges;
   if (n > UINT32_MAX) return Status::Corruption("node count overflow");
+  // Every edge takes bytes in the file, so a larger claim is corrupt; the
+  // bound also keeps the section-length products below from wrapping.
+  if (m > size) return Status::Corruption("edge count exceeds file: " + path);
   if (header.section_count != kNumSections) {
     return Status::Corruption("unexpected section count");
   }
@@ -471,18 +402,6 @@ class SectionWriter {
   std::vector<T> buffer_;
 };
 
-Status WritePadding(std::FILE* f, uint64_t from, uint64_t to) {
-  const char zeros[kAlignment] = {};
-  while (from < to) {
-    const uint64_t chunk = std::min<uint64_t>(to - from, kAlignment);
-    if (std::fwrite(zeros, 1, chunk, f) != chunk) {
-      return Status::IoError("padding write failed");
-    }
-    from += chunk;
-  }
-  return Status::OK();
-}
-
 std::string DirOf(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
@@ -568,100 +487,101 @@ Result<StreamWriteStats> WriteStreamedV2(util::ExtSorter* forward,
     offset = AlignUp(offset + expected_lengths[i]);
   }
 
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-  uint64_t graph_hash = kFnvBasis;
-  uint64_t written = 0;
+  // Everything below writes the temp file; WriteViaTemp renames it over
+  // `path` only once the header is back-patched.
+  const Status st = WriteViaTemp(path, [&](std::FILE* f) -> Status {
+    uint64_t graph_hash = kFnvBasis;
+    uint64_t written = 0;
 
-  // Section 0: out_offsets, from the resident O(n) array.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[0].offset));
-  {
-    SectionWriter<EdgeIdx> w(f.get(), &graph_hash);
-    for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[0].checksum = w.section_checksum();
-    written = table[0].offset + w.bytes_written();
-  }
-
-  // Section 1: out_targets via a second forward merge. Records arrive in
-  // (src, dst) order, which *is* CSR placement order — dsts stream
-  // straight to disk with no cursor array.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[1].offset));
-  {
-    EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, forward->Scan());
-    SectionWriter<NodeId> w(f.get(), &graph_hash);
-    uint64_t record = 0;
-    bool any = false;
-    uint64_t prev = 0;
-    while (s.Next(&record)) {
-      const NodeId src = util::PackedSrc(record);
-      const NodeId dst = util::PackedDst(record);
-      if (src == dst) continue;
-      if (any && record == prev) continue;
-      any = true;
-      prev = record;
-      EN_RETURN_IF_ERROR(w.Append(dst));
+    // Section 0: out_offsets, from the resident O(n) array.
+    EN_RETURN_IF_ERROR(WritePadding(f, written, table[0].offset));
+    {
+      SectionWriter<EdgeIdx> w(f, &graph_hash);
+      for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
+      EN_RETURN_IF_ERROR(w.Flush());
+      table[0].checksum = w.section_checksum();
+      written = table[0].offset + w.bytes_written();
     }
-    EN_RETURN_IF_ERROR(s.status());
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[1].checksum = w.section_checksum();
-    written = table[1].offset + w.bytes_written();
-  }
 
-  // Section 2: in_offsets by a counting pass over the reverse stream
-  // (already unique), reusing the offsets array.
-  std::fill(offsets.begin(), offsets.end(), 0);
-  {
-    EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
-    uint64_t record = 0;
-    while (s.Next(&record)) ++offsets[util::PackedSrc(record) + 1];
-    EN_RETURN_IF_ERROR(s.status());
-  }
-  for (uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[2].offset));
-  {
-    SectionWriter<EdgeIdx> w(f.get(), &graph_hash);
-    for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[2].checksum = w.section_checksum();
-    written = table[2].offset + w.bytes_written();
-  }
-
-  // Section 3: in_targets (sources) via the second reverse merge.
-  EN_RETURN_IF_ERROR(WritePadding(f.get(), written, table[3].offset));
-  {
-    EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
-    SectionWriter<NodeId> w(f.get(), &graph_hash);
-    uint64_t record = 0;
-    while (s.Next(&record)) {
-      EN_RETURN_IF_ERROR(w.Append(util::PackedDst(record)));
+    // Section 1: out_targets via a second forward merge. Records arrive in
+    // (src, dst) order, which *is* CSR placement order — dsts stream
+    // straight to disk with no cursor array.
+    EN_RETURN_IF_ERROR(WritePadding(f, written, table[1].offset));
+    {
+      EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, forward->Scan());
+      SectionWriter<NodeId> w(f, &graph_hash);
+      uint64_t record = 0;
+      bool any = false;
+      uint64_t prev = 0;
+      while (s.Next(&record)) {
+        const NodeId src = util::PackedSrc(record);
+        const NodeId dst = util::PackedDst(record);
+        if (src == dst) continue;
+        if (any && record == prev) continue;
+        any = true;
+        prev = record;
+        EN_RETURN_IF_ERROR(w.Append(dst));
+      }
+      EN_RETURN_IF_ERROR(s.status());
+      EN_RETURN_IF_ERROR(w.Flush());
+      table[1].checksum = w.section_checksum();
+      written = table[1].offset + w.bytes_written();
     }
-    EN_RETURN_IF_ERROR(s.status());
-    EN_RETURN_IF_ERROR(w.Flush());
-    table[3].checksum = w.section_checksum();
-  }
 
-  // Back-patch the header and section table now that the checksums exist.
-  SnapshotHeaderV2 header = {};
-  std::memcpy(header.magic, kMagicV2, 4);
-  header.version = kVersionV2;
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.graph_checksum = graph_hash;
-  header.section_count = kNumSections;
-  stats.graph_checksum = graph_hash;
+    // Section 2: in_offsets by a counting pass over the reverse stream
+    // (already unique), reusing the offsets array.
+    std::fill(offsets.begin(), offsets.end(), 0);
+    {
+      EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
+      uint64_t record = 0;
+      while (s.Next(&record)) ++offsets[util::PackedSrc(record) + 1];
+      EN_RETURN_IF_ERROR(s.status());
+    }
+    for (uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+    EN_RETURN_IF_ERROR(WritePadding(f, written, table[2].offset));
+    {
+      SectionWriter<EdgeIdx> w(f, &graph_hash);
+      for (EdgeIdx v : offsets) EN_RETURN_IF_ERROR(w.Append(v));
+      EN_RETURN_IF_ERROR(w.Flush());
+      table[2].checksum = w.section_checksum();
+      written = table[2].offset + w.bytes_written();
+    }
 
-  if (std::fseek(f.get(), 0, SEEK_SET) != 0) {
-    return Status::IoError("seek failed: " + path);
-  }
-  if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1 ||
-      std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f.get()) !=
-          kNumSections) {
-    return Status::IoError("header write failed: " + path);
-  }
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError("flush failed: " + path);
-  }
+    // Section 3: in_targets (sources) via the second reverse merge.
+    EN_RETURN_IF_ERROR(WritePadding(f, written, table[3].offset));
+    {
+      EN_ASSIGN_OR_RETURN(util::ExtSorter::Stream s, reverse.Scan());
+      SectionWriter<NodeId> w(f, &graph_hash);
+      uint64_t record = 0;
+      while (s.Next(&record)) {
+        EN_RETURN_IF_ERROR(w.Append(util::PackedDst(record)));
+      }
+      EN_RETURN_IF_ERROR(s.status());
+      EN_RETURN_IF_ERROR(w.Flush());
+      table[3].checksum = w.section_checksum();
+    }
+
+    // Back-patch the header and section table now that the checksums exist.
+    SnapshotHeaderV2 header = {};
+    std::memcpy(header.magic, kMagicV2, 4);
+    header.version = kVersionV2;
+    header.num_nodes = n;
+    header.num_edges = m;
+    header.graph_checksum = graph_hash;
+    header.section_count = kNumSections;
+    stats.graph_checksum = graph_hash;
+
+    if (std::fseek(f, 0, SEEK_SET) != 0) {
+      return Status::IoError("seek failed: " + path);
+    }
+    if (std::fwrite(&header, sizeof(header), 1, f) != 1 ||
+        std::fwrite(table, sizeof(SectionEntryV2), kNumSections, f) !=
+            kNumSections) {
+      return Status::IoError("header write failed: " + path);
+    }
+    return Status::OK();
+  });
+  if (!st.ok()) return st;
   return stats;
 }
 
@@ -680,32 +600,6 @@ Result<StreamWriteStats> SaveStreamedV2(const DiGraph& g,
     }
   }
   return WriteStreamedV2(&forward, g.num_nodes(), path, options);
-}
-
-Result<SnapshotFormat> SniffSnapshot(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open for reading: " + path);
-  char magic[4];
-  if (std::fread(magic, 1, 4, f.get()) != 4) {
-    return SnapshotFormat::kNotSnapshot;
-  }
-  if (std::memcmp(magic, kMagicV1, 4) == 0) return SnapshotFormat::kV1;
-  if (std::memcmp(magic, kMagicV2, 4) == 0) return SnapshotFormat::kV2;
-  return SnapshotFormat::kNotSnapshot;
-}
-
-Result<DiGraph> LoadSnapshot(const std::string& path) {
-  EN_ASSIGN_OR_RETURN(const SnapshotFormat format, SniffSnapshot(path));
-  switch (format) {
-    case SnapshotFormat::kV1:
-      return LoadBinary(path);
-    case SnapshotFormat::kV2:
-      return MapBinary(path);
-    case SnapshotFormat::kNotSnapshot:
-      break;
-  }
-  return Status::Corruption("not an elitenet snapshot (no ENG1/ENG2 magic): " +
-                            path);
 }
 
 }  // namespace graph

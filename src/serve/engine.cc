@@ -511,8 +511,8 @@ QueryResponse GraphBackend::DoDistance(const Request& r,
     ELITENET_COUNT("serve.dist.oracle_hit", 1);
     util::SpanTimer intersect_timer;
     d.distance = warm.hub_labels.Distance(r.node, r.target);
-    ELITENET_HISTOGRAM("serve.dist.intersect_us",
-                       static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
+    ELITENET_SKETCH("serve.dist.intersect_us",
+                    static_cast<uint64_t>(intersect_timer.Seconds() * 1e6));
   } else {
     ELITENET_COUNT("serve.dist.bfs_fallback", 1);
     std::unique_ptr<Scratch> scratch = BorrowScratch();

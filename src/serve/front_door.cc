@@ -40,8 +40,7 @@ const char* SpanNameFor(RequestType type) {
 
 // Distinct macro call sites per type: the metrics macros cache their
 // metric pointer per call site, so one shared site with a runtime name
-// would bind every type to the first sketch it saw. Sketches (not the
-// power-of-two histograms) so the exported snapshots carry live
+// would bind every type to the first sketch it saw. Sketches carry live
 // p50/p95/p99 per type at O(1) memory.
 void RecordLatency(RequestType type, uint64_t micros) {
   switch (type) {

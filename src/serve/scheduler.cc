@@ -44,7 +44,7 @@ bool QosExecutor::Submit(QosClass cls, const util::Deadline& deadline,
     task.seq = next_seq_++;
     ++depth_[idx];
     ++submitted_[idx];
-    ELITENET_HISTOGRAM("serve.queue_depth", queue_.size());
+    ELITENET_SKETCH("serve.queue_depth", queue_.size());
     queue_.Push(std::move(task));
   }
   cv_.notify_one();
@@ -79,7 +79,7 @@ void QosExecutor::WorkerLoop() {
       ++executed_[task.class_index];
       // Drain-side depth sample: together with the submission-side one,
       // the distribution sees both arrival and departure backlog views.
-      ELITENET_HISTOGRAM("serve.queue_depth", queue_.size());
+      ELITENET_SKETCH("serve.queue_depth", queue_.size());
     }
     task.fn();
   }

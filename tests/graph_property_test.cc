@@ -94,9 +94,9 @@ TEST_P(GraphPropertyTest, TransposeInvariants) {
 TEST_P(GraphPropertyTest, BinarySnapshotRoundTrips) {
   const DiGraph g = MakeParamGraph();
   const std::string path = testing::TempDir() + "/prop_snapshot.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
-  auto loaded = graph::LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
+  auto loaded = graph::MapBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, g);
 }
 

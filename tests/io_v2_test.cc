@@ -7,6 +7,9 @@
 
 #include "graph/io.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -42,6 +45,20 @@ void FlipByte(const std::string& path, long offset) {
   f.get(c);
   f.seekp(offset);
   f.put(static_cast<char>(c ^ 0x01));
+}
+
+// An empty graph in the retired ENG1 format: magic, version 1,
+// reserved, n = 0, m = 0, checksum, then two one-entry offset arrays.
+void WriteEng1EmptyGraph(const std::string& path) {
+  std::string bytes = "ENG1";
+  const uint32_t version = 1, reserved = 0;
+  const uint64_t zero = 0;
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  bytes.append(reinterpret_cast<const char*>(&reserved), 4);
+  for (int i = 0; i < 5; ++i) {
+    bytes.append(reinterpret_cast<const char*>(&zero), 8);
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 void Truncate(const std::string& path, size_t keep_bytes) {
@@ -147,10 +164,14 @@ TEST(SnapshotV2Test, VersionSkewIsNotSupported) {
   EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kNotSupported);
 }
 
-TEST(SnapshotV2Test, Eng1FileIsCorruptionNotCrash) {
+TEST(SnapshotV2Test, Eng1FileIsNotSupported) {
   const std::string path = TempPath("v2_eng1.eng2");
-  ASSERT_TRUE(SaveBinary(SmallGraph(), path).ok());  // ENG1 bytes
-  EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
+  WriteEng1EmptyGraph(path);
+  const Status s = MapBinary(path).status();
+  EXPECT_EQ(s.code(), StatusCode::kNotSupported);
+  // The message says how to get a readable file.
+  EXPECT_NE(s.ToString().find("elitenet_cli convert"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(SnapshotV2Test, TruncationAnywhereIsCorruption) {
@@ -188,49 +209,94 @@ TEST(SnapshotV2Test, SectionTableBitFlipIsCorruption) {
   EXPECT_EQ(MapBinary(path).status().code(), StatusCode::kCorruption);
 }
 
-TEST(SniffSnapshotTest, ClassifiesAllFormats) {
+TEST(SnapshotV2Test, MagicClassifiesEveryFormat) {
   const DiGraph g = SmallGraph();
-  const std::string v1 = TempPath("sniff.eng");
-  const std::string v2 = TempPath("sniff.eng2");
-  const std::string txt = TempPath("sniff.txt");
-  ASSERT_TRUE(SaveBinary(g, v1).ok());
+  const std::string v1 = TempPath("classify.eng");
+  const std::string v2 = TempPath("classify.eng2");
+  const std::string txt = TempPath("classify.txt");
+  WriteEng1EmptyGraph(v1);
   ASSERT_TRUE(SaveBinaryV2(g, v2).ok());
   ASSERT_TRUE(WriteEdgeListText(g, txt).ok());
 
-  auto s1 = SniffSnapshot(v1);
-  ASSERT_TRUE(s1.ok());
-  EXPECT_EQ(*s1, SnapshotFormat::kV1);
-  auto s2 = SniffSnapshot(v2);
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*s2, SnapshotFormat::kV2);
-  auto st = SniffSnapshot(txt);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(*st, SnapshotFormat::kNotSnapshot);
-  EXPECT_EQ(SniffSnapshot("/no/such/file").status().code(),
-            StatusCode::kIoError);
+  EXPECT_EQ(MapBinary(v1).status().code(), StatusCode::kNotSupported);
+  auto mapped = MapBinary(v2);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(*mapped, g);
+  EXPECT_EQ(MapBinary(txt).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(MapBinary("/no/such/file").status().code(), StatusCode::kIoError);
 }
 
-TEST(LoadSnapshotTest, DispatchesOnMagicNotExtension) {
+TEST(SnapshotV2Test, MagicDecidesNotExtension) {
   const DiGraph g = SmallGraph();
   // Deliberately swapped extensions: the magic decides.
   const std::string v1_as_eng2 = TempPath("swap.eng2");
   const std::string v2_as_eng = TempPath("swap.eng");
-  ASSERT_TRUE(SaveBinary(g, v1_as_eng2).ok());
+  WriteEng1EmptyGraph(v1_as_eng2);
   ASSERT_TRUE(SaveBinaryV2(g, v2_as_eng).ok());
 
-  auto a = LoadSnapshot(v1_as_eng2);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(*a, g);
-  EXPECT_FALSE(a->borrows_storage());  // ENG1 deserializes into vectors
+  EXPECT_EQ(MapBinary(v1_as_eng2).status().code(), StatusCode::kNotSupported);
 
-  auto b = LoadSnapshot(v2_as_eng);
+  auto b = MapBinary(v2_as_eng);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(*b, g);
   EXPECT_TRUE(b->borrows_storage());  // ENG2 maps in place
 
   const std::string txt = TempPath("swap.txt");
   ASSERT_TRUE(WriteEdgeListText(g, txt).ok());
-  EXPECT_EQ(LoadSnapshot(txt).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(MapBinary(txt).status().code(), StatusCode::kCorruption);
+}
+
+bool FileExists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+TEST(SnapshotV2Test, RewriteOverOwnMappingKeepsGraph) {
+  // Saving a mapped graph over the file it is mapped from must not
+  // truncate the pages under the mapping: the writer goes through a temp
+  // file and a rename, so the old mapping stays intact and the new file
+  // maps back to the same graph.
+  util::Rng rng(7);
+  auto g = gen::ErdosRenyi(300, 2000, &rng);
+  ASSERT_TRUE(g.ok());
+  const std::string path = TempPath("v2_inplace.eng2");
+  ASSERT_TRUE(SaveBinaryV2(*g, path).ok());
+  auto mapped = MapBinary(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  ASSERT_TRUE(SaveBinaryV2(*mapped, path).ok());
+  EXPECT_EQ(*mapped, *g);  // the old mapping still reads the old bytes
+  auto remapped = MapBinary(path);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  EXPECT_EQ(*remapped, *g);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+
+  // The streamed writer takes the same route.
+  ASSERT_TRUE(SaveStreamedV2(*remapped, path).ok());
+  EXPECT_EQ(*remapped, *g);
+  auto streamed = MapBinary(path);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(*streamed, *g);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
+TEST(SnapshotV2Test, FailedWriteLeavesTargetUntouched) {
+  // A write that cannot finish (here: the temp file cannot be created)
+  // reports the error and leaves the existing snapshot as it was.
+  const DiGraph g = SmallGraph();
+  const std::string path = TempPath("v2_blocked.eng2");
+  ASSERT_TRUE(SaveBinaryV2(g, path).ok());
+  const std::string blocker = path + ".tmp";
+  std::remove(blocker.c_str());
+  ASSERT_EQ(::mkdir(blocker.c_str(), 0755), 0);  // fopen(tmp) now fails
+  util::Rng rng(3);
+  auto other = gen::ErdosRenyi(50, 200, &rng);
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(SaveBinaryV2(*other, path).code(), StatusCode::kIoError);
+  EXPECT_FALSE(SaveStreamedV2(*other, path).ok());
+  ::rmdir(blocker.c_str());
+  auto mapped = MapBinary(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(*mapped, g);
 }
 
 }  // namespace

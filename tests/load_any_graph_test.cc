@@ -1,8 +1,9 @@
 // core::LoadAnyGraph is the one loading path shared by elitenet_cli and
-// the serving front-ends: dataset directory, ".eng" binary snapshot, or
-// text edge list. These tests pin the dispatch rule and — the part that
-// matters for a long-lived server — that corrupt inputs surface a clean
-// Status instead of crashing or yielding a half-loaded graph.
+// the serving front-ends: dataset directory, ".eng"/".eng2" ENG2
+// snapshot, or text edge list. These tests pin the dispatch rule and —
+// the part that matters for a long-lived server — that corrupt inputs
+// surface a clean Status instead of crashing or yielding a half-loaded
+// graph.
 
 #include "core/dataset.h"
 
@@ -51,6 +52,20 @@ StudyDataset SmallDataset() {
   return d;
 }
 
+// The retired ENG1 format's bytes for an empty graph: magic, version 1,
+// reserved, n = 0, m = 0, checksum, two one-entry offset arrays.
+void WriteEng1EmptyGraph(const std::string& path) {
+  std::string bytes = "ENG1";
+  const uint32_t version = 1, reserved = 0;
+  const uint64_t zero = 0;
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  bytes.append(reinterpret_cast<const char*>(&reserved), 4);
+  for (int i = 0; i < 5; ++i) {
+    bytes.append(reinterpret_cast<const char*>(&zero), 8);
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 void TruncateFile(const std::string& path, long keep_bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr) << path;
@@ -67,16 +82,17 @@ void TruncateFile(const std::string& path, long keep_bytes) {
 }
 
 TEST(LoadAnyGraphTest, DispatchesToBinarySnapshot) {
+  // ".eng" is the dataset-directory name for the same ENG2 format.
   const graph::DiGraph g = SmallGraph();
   const std::string path = testing::TempDir() + "/any_graph.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
   GraphLoadInfo info;
   auto loaded = LoadAnyGraph(path, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, g);
-  EXPECT_EQ(info.format, "eng1");
+  EXPECT_EQ(info.format, "eng2-mmap");
   EXPECT_GT(info.bytes, 0u);
-  EXPECT_FALSE(loaded->borrows_storage());
+  EXPECT_TRUE(loaded->borrows_storage());
 }
 
 TEST(LoadAnyGraphTest, DispatchesToZeroCopySnapshot) {
@@ -90,24 +106,6 @@ TEST(LoadAnyGraphTest, DispatchesToZeroCopySnapshot) {
   EXPECT_EQ(info.format, "eng2-mmap");
   EXPECT_GT(info.bytes, 0u);
   EXPECT_TRUE(loaded->borrows_storage());
-}
-
-TEST(LoadAnyGraphTest, SnapshotDispatchSniffsMagicNotExtension) {
-  // An ENG2 file behind a ".eng" name still maps zero-copy, and vice
-  // versa — the front-ends promise the magic decides.
-  const graph::DiGraph g = SmallGraph();
-  const std::string v2_as_eng = testing::TempDir() + "/sniffed.eng";
-  ASSERT_TRUE(graph::SaveBinaryV2(g, v2_as_eng).ok());
-  GraphLoadInfo info;
-  auto loaded = LoadAnyGraph(v2_as_eng, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.format, "eng2-mmap");
-
-  const std::string v1_as_eng2 = testing::TempDir() + "/sniffed.eng2";
-  ASSERT_TRUE(graph::SaveBinary(g, v1_as_eng2).ok());
-  auto loaded1 = LoadAnyGraph(v1_as_eng2, &info);
-  ASSERT_TRUE(loaded1.ok()) << loaded1.status().ToString();
-  EXPECT_EQ(info.format, "eng1");
 }
 
 TEST(LoadAnyGraphTest, DispatchesToEdgeListText) {
@@ -125,9 +123,29 @@ TEST(LoadAnyGraphTest, DispatchesToDatasetDirectory) {
   const StudyDataset d = SmallDataset();
   const std::string dir = TempDirFor("any_graph_dataset");
   ASSERT_TRUE(SaveDataset(d, dir).ok());
-  auto loaded = LoadAnyGraph(dir);
+  GraphLoadInfo info;
+  auto loaded = LoadAnyGraph(dir, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, d.network.graph);
+  EXPECT_EQ(info.format, "dataset-dir");
+  EXPECT_TRUE(loaded->borrows_storage());  // graph.eng is mapped
+}
+
+TEST(LoadAnyGraphTest, Eng1SnapshotIsNotSupported) {
+  // The retired format is refused under every name the tools accept —
+  // never a crash, never a fall back to the edge-list parser.
+  const std::string eng = testing::TempDir() + "/legacy.eng";
+  const std::string eng2 = testing::TempDir() + "/legacy.eng2";
+  WriteEng1EmptyGraph(eng);
+  WriteEng1EmptyGraph(eng2);
+  EXPECT_EQ(LoadAnyGraph(eng).status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ(LoadAnyGraph(eng2).status().code(), StatusCode::kNotSupported);
+
+  const StudyDataset d = SmallDataset();
+  const std::string dir = TempDirFor("any_graph_legacy_dataset");
+  ASSERT_TRUE(SaveDataset(d, dir).ok());
+  WriteEng1EmptyGraph(dir + "/graph.eng");
+  EXPECT_EQ(LoadAnyGraph(dir).status().code(), StatusCode::kNotSupported);
 }
 
 TEST(LoadAnyGraphTest, MissingPathIsCleanError) {
@@ -140,12 +158,12 @@ TEST(LoadAnyGraphTest, MissingPathIsCleanError) {
 TEST(LoadAnyGraphTest, TruncatedBinarySnapshotIsCorruption) {
   const graph::DiGraph g = SmallGraph();
   const std::string path = testing::TempDir() + "/truncated.eng";
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
   // Cut mid-array: the header parses but the payload is short.
-  TruncateFile(path, 40);
+  TruncateFile(path, 220);
   EXPECT_EQ(LoadAnyGraph(path).status().code(), StatusCode::kCorruption);
   // Cut mid-header too.
-  ASSERT_TRUE(graph::SaveBinary(g, path).ok());
+  ASSERT_TRUE(graph::SaveBinaryV2(g, path).ok());
   TruncateFile(path, 3);
   EXPECT_EQ(LoadAnyGraph(path).status().code(), StatusCode::kCorruption);
 }
